@@ -21,7 +21,8 @@ from .superop import apply_superop, projector_superop, unvec, vec
 
 #: residual above which an initial state counts as unprojected
 HOMOGENEITY_TOL = 1e-10
-#: spectral tolerances for the steady-state kernel projection
+#: spectral tolerance for the steady-state kernel projection, relative to the
+#: largest eigenvalue modulus of the generator (every rate scales with lambda)
 KERNEL_TOL = 1e-9
 
 
@@ -154,8 +155,11 @@ def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:
 
     Conserved quantities make multi-dimensional kernels the norm here, so the
     limit is the projection of rho0 onto the kernel along the decaying
-    spectral subspaces. Raises DivergenceError when K has an eigenvalue with
-    positive real part (the homogeneous equation has no steady state then).
+    spectral subspaces. The kernel and the divergence test are judged relative
+    to the largest eigenvalue modulus of K, so the result does not depend on
+    the overall rate scale; K = 0 returns rho0. Raises DivergenceError when K
+    has an eigenvalue with positive real part (the homogeneous equation has no
+    steady state then).
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -165,10 +169,11 @@ def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:
             f"initial state is not invariant under the theta={theta:.6g} projector "
             f"(residual {resid:.3e})")
     w, v = np.linalg.eig(k)
-    if np.any(w.real > KERNEL_TOL):
+    tol = KERNEL_TOL * np.abs(w).max()
+    if np.any(w.real > tol):
         raise DivergenceError(
             f"generator has eigenvalues with positive real part "
             f"(max {w.real.max():.3e}); solution diverges as t -> infinity")
-    selector = (np.abs(w) <= KERNEL_TOL).astype(float)
+    selector = (np.abs(w) <= tol).astype(float)
     coeffs = np.linalg.solve(v, vec(rho0))
     return unvec(v @ (selector * coeffs))

@@ -43,6 +43,39 @@ def rk4_von_neumann(h: np.ndarray, rho0: np.ndarray, t_final: float,
     return rho
 
 
+def evolve_exact_dense(h: np.ndarray, rho0: np.ndarray, times, thetas):
+    """Exact sector readout by rebuilding the full 4N x 4N rho(t) per time.
+
+    rho(t) = V (ph ph^dagger * rho_e) V^dagger with rho_e = V^dagger rho0 V,
+    then the level sum eff[(l,j),(m,k)] = sum_n rho[(l,n,j),(m,n,k)] (composite
+    index l*2N + 2n + j) and, per theta, the rotation of both branch indices to
+    |1,theta> = cos|1> + sin|2>, |2,theta> = -sin|1> + cos|2>. Returns the
+    (T, 2, 2) system states and a dict theta -> (T, 4, 4) sector states.
+    """
+    w, v = np.linalg.eigh(h)
+    rho_e = v.conj().T @ rho0 @ v
+    n = h.shape[0] // 4
+    system, sectors = [], {th: [] for th in thetas}
+    for t in np.asarray(times, dtype=float):
+        ph = np.exp(-1j * w * t)
+        rho_t = v @ (np.outer(ph, ph.conj()) * rho_e) @ v.conj().T
+        eff = np.zeros((4, 4), dtype=complex)
+        for l in range(2):
+            for j in range(2):
+                for m in range(2):
+                    for k in range(2):
+                        eff[2 * l + j, 2 * m + k] = sum(
+                            rho_t[l * 2 * n + 2 * lvl + j, m * 2 * n + 2 * lvl + k]
+                            for lvl in range(n))
+        system.append(np.array([[eff[0, 0] + eff[1, 1], eff[0, 2] + eff[1, 3]],
+                                [eff[2, 0] + eff[3, 1], eff[2, 2] + eff[3, 3]]]))
+        for th in thetas:
+            c, s = np.cos(th), np.sin(th)
+            u = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
+            sectors[th].append(u.T @ eff @ u)
+    return np.array(system), {th: np.array(x) for th, x in sectors.items()}
+
+
 def _superop(fn) -> np.ndarray:
     """16 x 16 matrix of the linear map ``fn`` on 4 x 4 matrices."""
     k = np.zeros((16, 16), dtype=complex)

@@ -5,7 +5,7 @@ from ecps import (ModelParams, build_hamiltonian, build_projector,
                   conserved_charge, eig_hermitian, ensemble_average,
                   evolve_exact, initial_state, kron, partial_trace,
                   reduced_from_sector, sample_couplings, sector_variables)
-from oracles import rk4_von_neumann
+from oracles import evolve_exact_dense, rk4_von_neumann
 
 PI4 = np.pi / 4
 
@@ -133,6 +133,39 @@ class TestEvolveExact:
             evolve_exact(h, rho0, [1.0, 2.0])
         with pytest.raises(ValueError):
             evolve_exact(h, rho0, [0.0, 2.0, 1.0])
+
+
+class TestEigenbasisReadout:
+    """evolve_exact against the per-time dense reconstruction of rho(t)."""
+
+    THETAS = (0.0, 0.3, PI4)
+    ENVS = [("branch_projector", 0.4, 1), "plus_projector", "maximally_mixed"]
+    SYS = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+
+    def _check(self, p, env, times):
+        h, rho0 = setup(p, sys=self.SYS, env=env)
+        traj = evolve_exact(h, rho0, times, theta_bases=self.THETAS)
+        system, sectors = evolve_exact_dense(h, rho0, times, self.THETAS)
+        assert traj.system_states.shape == (len(times), 2, 2)
+        assert np.abs(traj.system_states - system).max() <= 1e-12
+        for th in self.THETAS:
+            assert traj.sector_states[th].shape == (len(times), 4, 4)
+            assert np.abs(traj.sector_states[th] - sectors[th]).max() <= 1e-12
+
+    @pytest.mark.parametrize("env", ENVS)
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 3, 6])
+    def test_matches_dense_reference(self, n_levels, xi, env):
+        p = params(n_levels=n_levels, xi=xi, alpha=0.3)
+        self._check(p, env, np.array([0.0, 0.1, 0.35, 2.0, 7.5, 40.0]))
+
+    @pytest.mark.parametrize("env", ENVS)
+    def test_degenerate_spectrum(self, env):
+        self._check(params(n_levels=3, alpha=0.0), env, np.linspace(0, 30, 7))
+
+    @pytest.mark.parametrize("env", ENVS)
+    def test_one_point_grid(self, env):
+        self._check(params(n_levels=3), env, np.array([0.0]))
 
 
 class TestEnsembleAverage:

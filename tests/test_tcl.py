@@ -187,3 +187,18 @@ class TestSteadyState:
         k = 0.1 * np.eye(16)
         with pytest.raises(DivergenceError):
             steady_state(k, sector_unit(0, 0), theta=0.0)
+
+    def test_independent_of_rate_scale(self):
+        # every eigenvalue of K scales with lam, so the kernel must too
+        rho0 = np.diag([0.45, 0.45, 0.05, 0.05]).astype(complex)
+        expected = steady_state(tcl_generator(0.0, 0.5, 1.0), rho0, theta=0.0)
+        assert abs(reduced_from_sector(expected)[0, 0] - 0.5) <= 1e-12
+        for lam in (1e-3, 1e-8, 1e-10, 1e-12):
+            ss = steady_state(tcl_generator(0.0, 0.5, lam), rho0, theta=0.0)
+            assert np.abs(ss - expected).max() <= 1e-12
+
+    def test_flags_divergence_at_tiny_rates(self):
+        lam = 1e-12
+        k = tcl_generator(0.0, 0.5, lam) + lam * 1e-3 * np.eye(16)
+        with pytest.raises(DivergenceError):
+            steady_state(k, sector_unit(0, 0), theta=0.0)
