@@ -90,22 +90,29 @@ def _initial_pieces(cfg: dict, params):
              environment_spec(init["environment"]), None)]
 
 
+def _initial_states(pieces, params):
+    """Composite initial state and the effective 4x4 state of each piece:
+    (rho0, [(weight, effective state, theta-or-None), ...]). Both depend on
+    the model only through N, so one call serves every realization."""
+    states = [(w, initial_state(sysm, env, params), th)
+              for w, sysm, env, th in pieces]
+    rho0 = sum(w * state for w, state, _ in states)
+    return rho0, [(w, sector_variables(state, 0.0), th) for w, state, th in states]
+
+
 def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> list[Path]:
     params = model_params(cfg)
     n_real = int(realizations if realizations is not None else cfg.get("realizations", 1))
     times = time_grid(cfg, params)
-    pieces = _initial_pieces(cfg, params)
+    rho0, effs = _initial_states(_initial_pieces(cfg, params), params)
     lam = params.relaxation_rate
 
     def run_one(p):
-        h = build_hamiltonian(p, sample_couplings(p))
-        rho0 = sum(w * initial_state(sysm, env, p) for w, sysm, env, _ in pieces)
-        return evolve_exact(h, rho0, times)
+        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), rho0, times)
 
     exact = ensemble_average(params, n_real, run_one)
 
-    rho0_eff = sum(w * sector_variables(initial_state(sysm, env, params), 0.0)
-                   for w, sysm, env, _ in pieces)
+    rho0_eff = sum(w * eff for w, eff, _ in effs)
     thetas = [float(t) for t in cfg.get("projectors", [0.0, np.pi / 4])]
     tcl_curves = {}
     for th in thetas:
@@ -115,8 +122,7 @@ def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> li
 
     ecps_curve = None
     if "ecps" in cfg:
-        comps = [EcpsComponent(w, sector_variables(initial_state(sysm, env, params), 0.0), th)
-                 for w, sysm, env, th in pieces]
+        comps = [EcpsComponent(w, eff, th) for w, eff, th in effs]
         ecps_curve = ecps_evolve(comps, params.xi, lam, times)
 
     header = ["t", "exact_rho00", "exact_rho01_re", "exact_rho01_im"]
@@ -192,24 +198,22 @@ def run_steady_state(cfg: dict, out_dir: Path, realizations: int | None = None) 
 
     rho_pop = np.diag([p_exc, 1.0 - p_exc]).astype(complex)
     rho_coh = 0.5 * np.array([[1.0, coh], [np.conj(coh), 1.0]], dtype=complex)
-    pieces = [(p1, rho_pop, "maximally_mixed", 0.0),
-              (1.0 - p1, rho_coh, "plus_projector", pi4)]
+    rho0, effs = _initial_states([(p1, rho_pop, "maximally_mixed", 0.0),
+                                  (1.0 - p1, rho_coh, "plus_projector", pi4)],
+                                 params)
 
     def run_one(p):
-        h = build_hamiltonian(p, sample_couplings(p))
-        rho0 = sum(w * initial_state(sysm, env, p) for w, sysm, env, _ in pieces)
-        return evolve_exact(h, rho0, np.array([0.0, t_inf]))
+        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), rho0,
+                            np.array([0.0, t_inf]))
 
     exact = ensemble_average(params, n_real, run_one).system_states[-1]
 
-    eff0 = sum(w * sector_variables(initial_state(sysm, env, params), 0.0)
-               for w, sysm, env, _ in pieces)
+    eff0 = sum(w * eff for w, eff, _ in effs)
     k4 = tcl_generator(pi4, params.xi, lam)
     cps = steady_state(k4, apply_superop(projector_superop(pi4), eff0), pi4)
     cps_sys = reduced_from_sector(cps)
 
-    comps = [EcpsComponent(w, sector_variables(initial_state(sysm, env, params), 0.0), th)
-             for w, sysm, env, th in pieces if w > 0]
+    comps = [EcpsComponent(w, eff, th) for w, eff, th in effs if w > 0]
     ecps_eff = sum(c.weight * steady_state(tcl_generator(c.theta, params.xi, lam),
                                            c.state, c.theta) for c in comps)
     ecps_sys = reduced_from_sector(ecps_eff)

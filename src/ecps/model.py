@@ -164,46 +164,47 @@ def build_h0(params: ModelParams) -> np.ndarray:
     return np.diag(np.tile(energies, 2)).astype(complex)
 
 
-def _branch_ladder(params: ModelParams, couplings: np.ndarray, rotated: bool) -> np.ndarray:
-    """Environment ladder sum_{n1,n2} c[n1,n2] |n1,a><n2,b| with (a, b) the
-    branch pair (1, 2), or (+, -) when ``rotated``."""
-    n = params.n_levels
-    env_dim = 2 * n
-    if not rotated:
-        up = np.zeros((env_dim, n), dtype=complex)
-        dn = np.zeros((env_dim, n), dtype=complex)
-        up[0::2, :] = np.eye(n)      # |n, 1>
-        dn[1::2, :] = np.eye(n)      # |n, 2>
-    else:
-        up = np.zeros((env_dim, n), dtype=complex)
-        dn = np.zeros((env_dim, n), dtype=complex)
-        up[0::2, :] = np.eye(n) / np.sqrt(2.0)   # |n, +>
-        up[1::2, :] = np.eye(n) / np.sqrt(2.0)
-        dn[0::2, :] = np.eye(n) / np.sqrt(2.0)   # |n, ->
-        dn[1::2, :] = -np.eye(n) / np.sqrt(2.0)
-    return up @ couplings @ dn.conj().T
-
-
 def build_v(params: ModelParams, couplings: CouplingSet):
     """Interaction terms (v1, v2), both Hermitian 4N x 4N matrices.
 
     v1 = (1-xi) * (SIGMA_PLUS (x) B + h.c.) moves branch 2 -> 1,
     v2 = xi * (SIGMA_PLUS_X (x) B' + h.c.) moves branch - -> + in the
     rotated pair basis. Prefactors (1-xi) and xi are included.
+
+    With B = sum c[n1,n2] |n1,1><n2,2|, v1 holds c on the strided slice of
+    rows |1,n1,1> and columns |0,n2,2> and its adjoint on the transposed
+    slice. With s = (-1, 1) and t = (1, -1), SIGMA_PLUS_X[l, m] = (i/2) s_l
+    and the branch entries of |n1,+><n2,-| are (1/2) t_k, so the (system l,
+    branch j; system m, branch k) slice of SIGMA_PLUS_X (x) B' is s_l t_k g
+    with g = (i/4) c', and v2 adds the adjoint term s_m t_j g^dagger. Every
+    slice is +-(g + g^dagger) or +-(g - g^dagger), exactly sign-symmetric, so
+    the x-frame transform in ``exact`` maps v2 to exact zeros outside its
+    blocks.
     """
-    b1 = _branch_ladder(params, couplings.c, rotated=False)
-    b2 = _branch_ladder(params, couplings.c_prime, rotated=True)
-    v1 = kron(SIGMA_PLUS, b1)
-    v1 = (1.0 - params.xi) * (v1 + v1.conj().T)
-    v2 = kron(SIGMA_PLUS_X, b2)
-    v2 = params.xi * (v2 + v2.conj().T)
-    return v1, v2
+    n = params.n_levels
+    v1 = np.zeros((4 * n, 4 * n), dtype=complex)
+    c = (1.0 - params.xi) * couplings.c
+    v1[2 * n::2, 1:2 * n:2] = c
+    v1[1:2 * n:2, 2 * n::2] = c.conj().T
+    g = 0.25j * params.xi * couplings.c_prime
+    plus, minus = g + g.conj().T, g - g.conj().T
+    s = (-1.0, 1.0)
+    t = (1.0, -1.0)
+    # axes (l, n1, j, m, n2, k) of the composite row and column indices
+    v2 = np.empty((2, n, 2, 2, n, 2), dtype=complex)
+    for l, j, m, k in np.ndindex(2, 2, 2, 2):
+        a, b = s[l] * t[k], s[m] * t[j]
+        v2[l, :, j, m, :, k] = a * (plus if a == b else minus)
+    return v1, v2.reshape(4 * n, 4 * n)
 
 
 def build_hamiltonian(params: ModelParams, couplings: CouplingSet) -> np.ndarray:
     """Total Hamiltonian H0 + alpha * (v1 + v2)."""
     v1, v2 = build_v(params, couplings)
-    return build_h0(params) + params.alpha * (v1 + v2)
+    h = v1 + v2
+    h *= params.alpha
+    h += build_h0(params)
+    return h
 
 
 def branch_rotation(theta: float) -> np.ndarray:

@@ -126,6 +126,25 @@ _LADDER_BRANCH = np.array([[0, 1], [0, 0]], dtype=complex)   # |1><2|
 _LADDER_ROTATED = np.outer(_PLUS, _MINUS).astype(complex)    # |+><-|
 
 
+def build_v_kron(n_levels: int, xi: float, c: np.ndarray,
+                 c_prime: np.ndarray):
+    """Interaction terms (v1, v2) built as Kronecker products of the system
+    ladders with dense environment ladders: B = U c D^dagger with U, D the
+    2N x N isometries onto |n,1>, |n,2> (branch channel) or |n,+>, |n,->
+    (rotated channel); v1 = (1-xi)(sigma+ (x) B + h.c.) with sigma+ = |1><0|,
+    v2 = xi(sigma+_x (x) B' + h.c.) with sigma+_x |+> = -i|->, using the
+    system ladders and branch kets of ``tcl2_wick_generator``."""
+    eye = np.eye(n_levels)
+    up, dn = np.zeros((2 * n_levels, n_levels)), np.zeros((2 * n_levels, n_levels))
+    up[0::2], dn[1::2] = eye, eye
+    b1 = up @ c @ dn.T
+    up_x, dn_x = np.kron(eye, _PLUS[:, None]), np.kron(eye, _MINUS[:, None])
+    b2 = up_x @ c_prime @ dn_x.T
+    v1 = np.kron(_SIGMA_UP, b1)
+    v2 = np.kron(_SIGMA_UP_X, b2)
+    return (1.0 - xi) * (v1 + v1.conj().T), xi * (v2 + v2.conj().T)
+
+
 def _band_integrals(n_levels: int, delta_eps: float, t: float) -> np.ndarray:
     """f[a, b] = int_0^t exp(i w tau) dtau with w = eps_a - eps_b, exactly:
     t exp(i w t/2) sinc(w t / 2 pi), which is t at w = 0."""

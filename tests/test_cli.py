@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+import ecps.cli
 from ecps.cli import main
 
 PI4 = float(np.pi / 4)
@@ -223,6 +224,33 @@ class TestSteadyState:
             rows = {r["quantity"]: r for r in csv.DictReader(fh)}
         assert abs(float(rows["rho00"]["cps_pi4"]) -
                    float(rows["rho00"]["ecps"])) <= 1e-9
+
+
+class TestInitialStateBuiltOnce:
+    """The composite initial state depends only on N: one build per piece of
+    the initial state, however many realizations run."""
+
+    @staticmethod
+    def _count_builds(monkeypatch, experiment, cfg_dict, tmp_path):
+        calls = []
+        original = ecps.cli.initial_state
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ecps.cli, "initial_state", counting)
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--realizations", "3"]) == 0
+        return len(calls)
+
+    def test_compare(self, monkeypatch, tmp_path):
+        assert self._count_builds(monkeypatch, "compare", compare_cfg(), tmp_path) == 1
+
+    def test_steady_state(self, monkeypatch, tmp_path):
+        assert self._count_builds(monkeypatch, "steady-state",
+                                  TestSteadyState.cfg(), tmp_path) == 2
 
 
 class TestSeedReport:

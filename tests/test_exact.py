@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import ecps.exact
 from ecps import (ModelParams, build_hamiltonian, build_projector,
                   conserved_charge, eig_hermitian, ensemble_average,
                   evolve_exact, initial_state, kron, partial_trace,
                   reduced_from_sector, sample_couplings, sector_variables)
+from ecps.exact import SECTOR_THETAS
 from oracles import evolve_exact_dense, rk4_von_neumann
 
 PI4 = np.pi / 4
@@ -133,6 +135,13 @@ class TestEvolveExact:
             evolve_exact(h, rho0, [1.0, 2.0])
         with pytest.raises(ValueError):
             evolve_exact(h, rho0, [0.0, 2.0, 1.0])
+        with pytest.raises(ValueError):
+            evolve_exact(h[:-4, :-4], rho0, [0.0, 1.0])
+        for bad in (np.nan, np.inf):
+            h_bad = h.copy()
+            h_bad[0, 1] = h_bad[1, 0] = bad
+            with pytest.raises(ValueError):
+                evolve_exact(h_bad, rho0, [0.0, 1.0])
 
 
 class TestEigenbasisReadout:
@@ -166,6 +175,100 @@ class TestEigenbasisReadout:
     @pytest.mark.parametrize("env", ENVS)
     def test_one_point_grid(self, env):
         self._check(params(n_levels=3), env, np.array([0.0]))
+
+
+class TestBlocks:
+    """evolve_exact diagonalizes each connected block of h on its own."""
+
+    STEADY_SYS = (np.diag([0.9, 0.1]), np.array([[0.5, 0.4], [0.4, 0.5]]))
+
+    @staticmethod
+    def _block_sizes(monkeypatch, h, rho0, times=(0.0, 1.0)):
+        sizes = []
+        original = ecps.exact.eig_hermitian
+
+        def recording(m, *args):
+            sizes.append(m.shape[0])
+            return original(m, *args)
+
+        monkeypatch.setattr(ecps.exact, "eig_hermitian", recording)
+        traj = evolve_exact(h, rho0, np.asarray(times))
+        return sizes, traj
+
+    def _steady_rho0(self, p):
+        # the steady-state experiment's mixture: coherences between the
+        # blocks (system 0-1 and branch 1-2) are all present
+        mixed, coherent = self.STEADY_SYS
+        return (0.5 * initial_state(mixed, "maximally_mixed", p)
+                + 0.5 * initial_state(coherent, "plus_projector", p))
+
+    # at xi = 1 every draw but (1, 0) leaves 2-14 entries of rounding residue
+    # (below 4 eps max|h|) where the x frame of h has exact zeros
+    @pytest.mark.parametrize("n_levels, seed", [(1, 0), (1, 10), (2, 1), (3, 5),
+                                                (7, 6), (30, 0)])
+    @pytest.mark.parametrize("xi, blocks", [(0.0, [2]), (1.0, [2]), (0.5, [4])])
+    def test_block_sizes(self, monkeypatch, n_levels, seed, xi, blocks):
+        p = params(n_levels=n_levels, xi=xi, alpha=0.3, seed=seed)
+        h, rho0 = setup(p)
+        sizes, _ = self._block_sizes(monkeypatch, h, rho0)
+        assert sizes == [b * n_levels for b in blocks]
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_decoupled_needs_no_eigh(self, monkeypatch, xi):
+        p = params(n_levels=5, xi=xi, alpha=0.0)
+        h, rho0 = setup(p, env="plus_projector")
+        sizes, traj = self._block_sizes(monkeypatch, h, rho0, np.linspace(0, 9, 4))
+        assert sizes == []
+        assert np.abs(traj.system_states - traj.system_states[0]).max() <= 1e-15
+
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    def test_large_band_matches_dense_reference(self, monkeypatch, xi):
+        p = ModelParams(n_levels=120, delta_eps=0.5, alpha=0.005, xi=xi, seed=4242)
+        h = build_hamiltonian(p, sample_couplings(p))
+        rho0 = self._steady_rho0(p)
+        times = np.array([0.0, 50.0 / p.relaxation_rate])
+        sizes, traj = self._block_sizes(monkeypatch, h, rho0, times)
+        assert sizes == [240]
+        system, sectors = evolve_exact_dense(h, rho0, times, SECTOR_THETAS)
+        assert np.abs(traj.system_states - system).max() <= 1e-12
+        for th in SECTOR_THETAS:
+            assert np.abs(traj.sector_states[th] - sectors[th]).max() <= 1e-12
+
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    def test_rejects_non_hermitian_singleton(self, xi):
+        # at xi = 0 index 0 is |0,1,1>, which sees only H0; at xi = 1 the
+        # perturbation lands on the x-frame singletons and the block alike
+        p = params(n_levels=3, xi=xi)
+        h, rho0 = setup(p)
+        h[0, 0] += 1e-3j
+        with pytest.raises(ValueError):
+            evolve_exact(h, rho0, [0.0, 1.0])
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 4)])
+    def test_rejects_one_sided_off_block_entry(self, i, j):
+        # at xi = 0 and N = 3, indices 0, 2, 4 are the singletons |0,n,1>
+        # (n = 1, 2, 3) and 1 = |0,1,2> lies in the 2N block
+        p = params(n_levels=3, xi=0.0)
+        h, rho0 = setup(p)
+        assert h[i, j] == 0 and h[j, i] == 0
+        h[i, j] = 1e-3
+        with pytest.raises(ValueError):
+            evolve_exact(h, rho0, [0.0, 1.0])
+
+    def test_rejects_slightly_negative_initial_state(self):
+        p = params(n_levels=3)
+        h, _ = setup(p)
+        d = h.shape[0]
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        lam = np.full(d, (1.0 + 1e-3) / (d - 1))
+        lam[0] = -1e-3
+        rho0 = (q * lam) @ q.conj().T
+        rho0 = (rho0 + rho0.conj().T) / 2
+        assert abs(np.trace(rho0) - 1.0) <= 1e-12
+        with pytest.raises(ValueError):
+            evolve_exact(h, rho0, [0.0, 1.0])
 
 
 class TestEnsembleAverage:

@@ -134,3 +134,27 @@ class TestPredicates:
         assert is_density(random_density(rng, 6))
         assert not is_density(2 * random_density(rng, 6))
         assert not is_density(np.diag([1.5, -0.5]).astype(complex))
+
+
+class TestIsDensityPositivity:
+    """The Cholesky test of is_density decides like min eigvalsh >= -tol."""
+
+    @staticmethod
+    def _with_min_eigenvalue(lam_min, d, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(random_complex(rng, (d, d)))
+        lam = rng.uniform(0.5, 1.5, d)
+        lam[1:] *= (1.0 - lam_min) / lam[1:].sum()
+        lam[0] = lam_min
+        m = (q * lam) @ q.conj().T
+        return (m + m.conj().T) / 2
+
+    @pytest.mark.parametrize("d", [2, 8, 480])
+    @pytest.mark.parametrize("lam_min", [-1e-9, -2e-10, -5e-11, 0.0, 1e-12])
+    def test_agrees_with_eigenvalue_predicate(self, lam_min, d):
+        m = self._with_min_eigenvalue(lam_min, d, seed=d)
+        tol = STRUCTURAL_TOL
+        assert abs(np.trace(m) - 1.0) <= 1e-12
+        by_eigvalsh = np.linalg.eigvalsh(m).min() >= -tol
+        assert by_eigvalsh == (lam_min >= -tol)
+        assert is_density(m, tol) == by_eigvalsh

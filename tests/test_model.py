@@ -5,6 +5,7 @@ from ecps import (BasisIndex, ModelParams, build_h0, build_hamiltonian,
                   build_projector, build_v, conserved_charge, initial_state,
                   is_density, is_hermitian, kron, sample_couplings)
 from ecps.model import PAULI_Z
+from oracles import build_v_kron
 
 
 def params(**kw):
@@ -118,6 +119,16 @@ class TestHamiltonians:
         assert is_hermitian(v2, 1e-12)
         assert is_hermitian(v1 + v2, 1e-12)
         assert is_hermitian(build_hamiltonian(p, cpl), 1e-12)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 4, 60])
+    def test_matches_kron_construction(self, n_levels, xi):
+        p = params(n_levels=n_levels, xi=xi, seed=31 + n_levels)
+        cpl = sample_couplings(p)
+        v1, v2 = build_v(p, cpl)
+        o1, o2 = build_v_kron(n_levels, xi, cpl.c, cpl.c_prime)
+        assert np.abs(v1 - o1).max() <= 1e-15
+        assert np.abs(v2 - o2).max() <= 1e-15
 
     def test_branch_channel_conserves_charge(self):
         p = params(xi=0.0)
