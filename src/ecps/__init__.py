@@ -1,11 +1,10 @@
 """Correlated-projection master equations, exact dynamics and projector
 diagnostics for a two-state system coupled to a two-branch energy band."""
 
-from .linalg import (RECONSTRUCTION_TOL, STRUCTURAL_TOL, eig_hermitian,
-                     is_density, is_hermitian, is_unitary, kron,
-                     partial_trace, singular_values)
-from .model import (BasisIndex, CouplingSet, ModelParams, branch_parity,
-                    build_h0, build_hamiltonian, build_projector, build_v,
+from .linalg import (STRUCTURAL_TOL, eig_hermitian, is_density, is_hermitian,
+                     singular_values)
+from .model import (CouplingSet, ModelParams, branch_parity, build_h0,
+                    build_hamiltonian, build_projector, build_v,
                     conserved_charge, initial_state, sample_couplings)
 from .exact import (Trajectory, ensemble_average, evolve_exact,
                     realization_seeds, reduced_from_sector, sector_variables)
@@ -13,20 +12,19 @@ from .superop import (DeltaScan, apply_superop, choi_matrix, delta_superop,
                       effective_generator_full, projector_superop, scan_delta,
                       tcl_generator, unvec, vec)
 from .tcl import (DivergenceError, EcpsComponent, HomogeneityError,
-                  TclSolution, ecps_evolve, solve_tcl, steady_state)
+                  ecps_evolve, solve_tcl, steady_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisIndex", "CouplingSet", "DeltaScan", "DivergenceError",
-    "EcpsComponent", "HomogeneityError", "ModelParams", "RECONSTRUCTION_TOL",
-    "STRUCTURAL_TOL", "TclSolution", "Trajectory", "apply_superop",
-    "branch_parity", "build_h0", "build_hamiltonian", "build_projector",
-    "build_v", "choi_matrix", "conserved_charge", "delta_superop",
-    "ecps_evolve", "effective_generator_full", "eig_hermitian",
-    "ensemble_average", "evolve_exact", "initial_state", "is_density",
-    "is_hermitian", "is_unitary", "kron", "partial_trace",
-    "projector_superop", "realization_seeds", "reduced_from_sector",
-    "sample_couplings", "scan_delta", "sector_variables", "singular_values",
-    "solve_tcl", "steady_state", "tcl_generator", "unvec", "vec",
+    "CouplingSet", "DeltaScan", "DivergenceError", "EcpsComponent",
+    "HomogeneityError", "ModelParams", "STRUCTURAL_TOL", "Trajectory",
+    "apply_superop", "branch_parity", "build_h0", "build_hamiltonian",
+    "build_projector", "build_v", "choi_matrix", "conserved_charge",
+    "delta_superop", "ecps_evolve", "effective_generator_full",
+    "eig_hermitian", "ensemble_average", "evolve_exact", "initial_state",
+    "is_density", "is_hermitian", "projector_superop", "realization_seeds",
+    "reduced_from_sector", "sample_couplings", "scan_delta",
+    "sector_variables", "singular_values", "solve_tcl", "steady_state",
+    "tcl_generator", "unvec", "vec",
 ]

@@ -75,13 +75,11 @@ def _theta_tag(theta: float) -> str:
     return f"{theta / np.pi:.4f}".replace(".", "p").replace("-", "m") + "pi"
 
 
-def _initial_pieces(cfg: dict, params):
+def _initial_pieces(cfg: dict):
     """List of (weight, system 2x2, env spec, theta-or-None) for the initial
-    state; single-state configs give one entry with weight 1."""
+    state; single-state configs give one entry with weight 1. The config
+    check has already vetted weights and states."""
     if "ecps" in cfg:
-        total = sum(c["weight"] for c in cfg["ecps"])
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"ecps weights must sum to 1, got {total!r}")
         return [(float(c["weight"]), system_matrix(c["system"]),
                  environment_spec(c["environment"]), float(c["theta"]))
                 for c in cfg["ecps"]]
@@ -104,7 +102,7 @@ def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> li
     params = model_params(cfg)
     n_real = int(realizations if realizations is not None else cfg.get("realizations", 1))
     times = time_grid(cfg, params)
-    rho0, effs = _initial_states(_initial_pieces(cfg, params), params)
+    rho0, effs = _initial_states(_initial_pieces(cfg), params)
     lam = params.relaxation_rate
 
     def run_one(p):
@@ -118,7 +116,7 @@ def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> li
     for th in thetas:
         k = tcl_generator(th, params.xi, lam)
         projected = apply_superop(projector_superop(th), rho0_eff)
-        tcl_curves[th] = solve_tcl(k, projected, times, th, xi=params.xi, lam=lam)
+        tcl_curves[th] = solve_tcl(k, projected, times, th)
 
     ecps_curve = None
     if "ecps" in cfg:

@@ -11,7 +11,9 @@ import numpy as np
 import yaml
 from jsonschema import Draft202012Validator
 
+from .linalg import is_density
 from .model import ModelParams
+from .tcl import WEIGHT_TOL
 
 SCHEMA_VERSION = 1
 
@@ -37,6 +39,9 @@ _STATE_2X2 = {
                                  "minItems": 2, "maxItems": 2}},
     },
     "required": ["kind"],
+    "allOf": [{"if": {"properties": {"kind": {"const": kind}}},
+               "then": {"required": [field]}}
+              for kind, field in (("ket", "amplitudes"), ("diagonal", "populations"))],
     "additionalProperties": False,
 }
 _ENV_STATE = {
@@ -152,6 +157,9 @@ def load_config(path) -> dict:
 
 
 def _check_experiment_sections(cfg: dict):
+    """What the schema cannot say: the sections each experiment needs, and
+    initial states the runners accept (density matrices, ECPS weights
+    summing to 1 within the solver's WEIGHT_TOL)."""
     kind = cfg["experiment"]
     if kind == "compare":
         has_init = "initial_state" in cfg
@@ -160,20 +168,26 @@ def _check_experiment_sections(cfg: dict):
             raise ConfigError("compare needs 'initial_state' or 'ecps'")
         if has_init and has_ecps:
             raise ConfigError("compare takes either 'initial_state' or 'ecps', not both")
-        for comp in cfg.get("ecps", []):
-            if comp["environment"]["kind"] == "branch_projector" \
-                    and "theta" not in comp["environment"]:
-                raise ConfigError("branch_projector environment needs 'theta'")
     elif kind == "choi-scan":
         if "choi_scan" not in cfg:
             raise ConfigError("choi-scan needs a 'choi_scan' section")
     elif kind == "steady-state":
         if "steady_state" not in cfg:
             raise ConfigError("steady-state needs a 'steady_state' section")
-    init = cfg.get("initial_state")
-    if init and init["environment"]["kind"] == "branch_projector" \
-            and "theta" not in init["environment"]:
-        raise ConfigError("branch_projector environment needs 'theta'")
+    pieces = list(cfg.get("ecps", []))
+    if "initial_state" in cfg:
+        pieces.append(cfg["initial_state"])
+    for piece in pieces:
+        env = piece["environment"]
+        if env["kind"] == "branch_projector" and "theta" not in env:
+            raise ConfigError("branch_projector environment needs 'theta'")
+        if not is_density(system_matrix(piece["system"])):
+            raise ConfigError("system state must be a 2 x 2 density matrix")
+    if "ecps" in cfg:
+        total = np.sum([c["weight"] for c in cfg["ecps"]])
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ConfigError(f"ecps weights must sum to 1 within {WEIGHT_TOL:g}, "
+                              f"got {float(total)!r}")
 
 
 def model_params(cfg: dict, seed_override=None) -> ModelParams:
@@ -194,10 +208,7 @@ def system_matrix(spec: dict) -> np.ndarray:
         amps = amps / norm
         return np.outer(amps, amps.conj()).astype(complex)
     if kind == "diagonal":
-        pops = np.asarray(spec["populations"], dtype=float)
-        if np.any(pops < 0) or abs(pops.sum() - 1.0) > 1e-9:
-            raise ConfigError("diagonal populations must be >= 0 and sum to 1")
-        return np.diag(pops).astype(complex)
+        return np.diag(np.asarray(spec["populations"], dtype=float)).astype(complex)
     if kind == "matrix":
         re = np.asarray(spec.get("entries_re", np.zeros((2, 2))), dtype=float)
         im = np.asarray(spec.get("entries_im", np.zeros((2, 2))), dtype=float)

@@ -48,8 +48,9 @@ only the 10 entries with r <= c to compute. The eigen-columns are ordered
 component by component, grouped by the pairs r their support touches, so
 each A_r is nonzero only on one contiguous range of columns (at xi = 0: N
 singletons for r = 0, the 2N block for r = 1, 2, N singletons for r = 3),
-and M_rc and the phases are restricted to the ranges of r and c. Rotated
-bases follow from the theta = 0 stack by one 4x4 rotation.
+and M_rc and the phases are restricted to the ranges of r and c. Trajectories
+carry the theta = 0 stack; a rotated basis follows from it by one 4x4
+rotation (as in :func:`sector_variables`).
 """
 from __future__ import annotations
 
@@ -60,25 +61,23 @@ import numpy as np
 from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
 from .model import ModelParams, branch_rotation
 
-SECTOR_THETAS = (0.0, np.pi / 4)
-
 
 @dataclass
 class Trajectory:
-    """Time series of reduced and sector-resolved states.
+    """Time series of effective and reduced states, exact or projected.
 
-    system_states has shape (T, 2, 2); sector_states maps each requested
-    theta to an array of shape (T, 4, 4). meta records parameters and seeds.
+    states has shape (T, 4, 4): the effective state in the unrotated branch
+    basis (theta = 0). system_states has shape (T, 2, 2). meta records
+    provenance such as seeds.
     """
 
     times: np.ndarray
+    states: np.ndarray
     system_states: np.ndarray
-    sector_states: dict
     meta: dict = field(default_factory=dict)
 
 
-def sector_variables(rho: np.ndarray, theta: float,
-                     params: ModelParams | None = None) -> np.ndarray:
+def sector_variables(rho: np.ndarray, theta: float) -> np.ndarray:
     """Effective 4x4 state of a 4N x 4N composite matrix in the theta-rotated
     branch basis (see module docstring for the index convention)."""
     rho = np.asarray(rho, dtype=complex)
@@ -86,8 +85,6 @@ def sector_variables(rho: np.ndarray, theta: float,
     if rho.shape != (dim, dim) or dim % 4:
         raise ValueError(f"expected a 4N x 4N matrix, got shape {rho.shape}")
     n = dim // 4
-    if params is not None and params.n_levels != n:
-        raise ValueError("params.n_levels inconsistent with matrix size")
     t = rho.reshape(2, n, 2, 2, n, 2)
     eff0 = np.einsum('lnjmnk->ljmk', t).reshape(4, 4)
     if theta == 0.0:
@@ -97,9 +94,10 @@ def sector_variables(rho: np.ndarray, theta: float,
 
 
 def reduced_from_sector(eff: np.ndarray) -> np.ndarray:
-    """System 2x2 state from an effective state: rho_A[l,m] = sum_j eff[(l,j),(m,j)]."""
-    e = np.asarray(eff, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum('ljmj->lm', e)
+    """System 2x2 state from an effective state, or (..., 2, 2) from a stack
+    (..., 4, 4): rho_A[l,m] = sum_j eff[(l,j),(m,j)]."""
+    e = np.asarray(eff, dtype=complex)
+    return np.einsum('...ljmj->...lm', e.reshape(e.shape[:-2] + (2, 2, 2, 2)))
 
 
 #: U4 = Had (x) Had, which takes a 4x4 effective state out of the x frame
@@ -218,8 +216,7 @@ def _block_eigen(h: np.ndarray, rho0: np.ndarray, label: np.ndarray):
     return w, v, rho_e, spans
 
 
-def evolve_exact(h: np.ndarray, rho0: np.ndarray, times,
-                 theta_bases=SECTOR_THETAS, meta: dict | None = None) -> Trajectory:
+def evolve_exact(h: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
     """Evolve rho(t) = exp(-iHt) rho0 exp(+iHt) on the given time grid.
 
     ``h`` must be Hermitian and ``rho0`` a density matrix (both within the
@@ -276,17 +273,8 @@ def evolve_exact(h: np.ndarray, rho0: np.ndarray, times,
             eff0[:, r, c] = eff0[:, c, r].conj()
     if x_frame:
         eff0 = _U4 @ eff0 @ _U4
-
-    system_states = np.einsum('tljmj->tlm', eff0.reshape(-1, 2, 2, 2, 2))
-    sector_states = {}
-    for th in theta_bases:
-        if th == 0.0:
-            sector_states[th] = eff0
-        else:
-            u = np.kron(np.eye(2), branch_rotation(th))
-            sector_states[th] = u.conj().T @ eff0 @ u
-    return Trajectory(times=times, system_states=system_states,
-                      sector_states=sector_states, meta=dict(meta or {}))
+    return Trajectory(times=times, states=eff0,
+                      system_states=reduced_from_sector(eff0))
 
 
 def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
@@ -311,11 +299,9 @@ def ensemble_average(params: ModelParams, n_realizations: int, run_one) -> Traje
     for t in trajs[1:]:
         if not np.array_equal(t.times, times):
             raise ValueError("realizations must share one time grid")
-    system = np.mean([t.system_states for t in trajs], axis=0)
-    sector = {th: np.mean([t.sector_states[th] for t in trajs], axis=0)
-              for th in trajs[0].sector_states}
-    meta = dict(trajs[0].meta)
-    meta.update(base_seed=params.seed, realization_seeds=seeds,
-                n_realizations=n_realizations)
-    return Trajectory(times=times, system_states=system,
-                      sector_states=sector, meta=meta)
+    return Trajectory(
+        times=times,
+        states=np.mean([t.states for t in trajs], axis=0),
+        system_states=np.mean([t.system_states for t in trajs], axis=0),
+        meta=dict(base_seed=params.seed, realization_seeds=seeds,
+                  n_realizations=n_realizations))

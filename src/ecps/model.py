@@ -2,9 +2,9 @@
 N equidistant, doubly degenerate energy levels.
 
 The environment has 2N states |n, i> with level n in 1..N and branch i in
-{1, 2}; the composite space has dimension 4N. All modules use the fixed
-basis ordering of :class:`BasisIndex` (system-major, then level, then
-branch) instead of ad-hoc index arithmetic.
+{1, 2}; the composite space has dimension 4N. All modules use one basis
+ordering, system-major, then level, then branch: |m, n, i> has the flat
+index m * 2N + (n - 1) * 2 + (i - 1) with m in {0, 1}.
 
 Two interaction channels couple system and environment:
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import is_density, kron
+from .linalg import is_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,10 +32,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: maps |0> to |1> (matrix [[0,0],[1,0]] in the fixed |0>,|1> ordering)
 SIGMA_PLUS = 0.5 * (PAULI_X - 1j * PAULI_Y)
-SIGMA_MINUS = SIGMA_PLUS.conj().T
 #: x-basis counterpart of SIGMA_PLUS: maps |+> to -i|-> with |+-> = (|0> +- |1>)/sqrt(2)
 SIGMA_PLUS_X = 0.5 * (PAULI_Y - 1j * PAULI_Z)
-SIGMA_MINUS_X = SIGMA_PLUS_X.conj().T
 
 
 @dataclass(frozen=True)
@@ -88,63 +86,15 @@ class CouplingSet:
     c_prime: np.ndarray
 
 
-class BasisIndex:
-    """Bijective map (system m, level n, branch i) <-> flat composite index.
-
-    Ordering is system-major, then level, then branch:
-    ``flat = m * 2N + (n - 1) * 2 + (i - 1)`` with m in {0,1}, n in 1..N,
-    i in {1,2}. Environment-only indices drop the leading system block.
-    """
-
-    def __init__(self, n_levels: int):
-        if n_levels < 1:
-            raise ValueError("n_levels must be >= 1")
-        self.n_levels = int(n_levels)
-        self.env_dim = 2 * self.n_levels
-        self.dim = 2 * self.env_dim
-
-    def flat(self, m: int, n: int, i: int) -> int:
-        self._check(m, n, i)
-        return m * self.env_dim + (n - 1) * 2 + (i - 1)
-
-    def env_flat(self, n: int, i: int) -> int:
-        self._check(0, n, i)
-        return (n - 1) * 2 + (i - 1)
-
-    def unflat(self, idx: int):
-        if not 0 <= idx < self.dim:
-            raise ValueError(f"index {idx} out of range")
-        m, env = divmod(idx, self.env_dim)
-        n, i = divmod(env, 2)
-        return m, n + 1, i + 1
-
-    def env_ket(self, n: int, i: int) -> np.ndarray:
-        v = np.zeros(self.env_dim, dtype=complex)
-        v[self.env_flat(n, i)] = 1.0
-        return v
-
-    def _check(self, m, n, i):
-        if m not in (0, 1):
-            raise ValueError(f"system index m={m} must be 0 or 1")
-        if not 1 <= n <= self.n_levels:
-            raise ValueError(f"level index n={n} out of 1..{self.n_levels}")
-        if i not in (1, 2):
-            raise ValueError(f"branch index i={i} must be 1 or 2")
-
-
-def rng_for(seed: int) -> np.random.Generator:
-    """Counter-based generator (numpy Philox 4x64-10) keyed from ``seed``."""
-    return np.random.Generator(np.random.Philox(int(seed) & (2 ** 64 - 1)))
-
-
 def sample_couplings(params: ModelParams) -> CouplingSet:
     """Draw both coupling matrices for one realization.
 
     Entries are (x + iy)/sqrt(2) with x, y standard normal, so
     <|c|^2> = 1 and <c^2> = 0. The branch-channel matrix ``c`` is drawn
-    first, then ``c_prime``, from a single Philox stream.
+    first, then ``c_prime``, from a single counter-based Philox 4x64-10
+    stream keyed by ``params.seed``.
     """
-    rng = rng_for(params.seed)
+    rng = np.random.Generator(np.random.Philox(int(params.seed) & (2 ** 64 - 1)))
     n = params.n_levels
 
     def draw():
@@ -253,7 +203,7 @@ def initial_state(sys: np.ndarray, env_spec, params: ModelParams) -> np.ndarray:
         env = build_projector(float(theta), int(branch), params) / params.n_levels
     else:
         raise ValueError(f"unknown environment spec {env_spec!r}")
-    return kron(sys, env)
+    return np.kron(sys, env)
 
 
 def branch_parity(params: ModelParams) -> np.ndarray:
@@ -270,5 +220,5 @@ def conserved_charge(params: ModelParams) -> np.ndarray:
     """
     sys_inversion = np.diag([-1.0, 1.0]).astype(complex)
     env_dim = 2 * params.n_levels
-    return (kron(sys_inversion, np.eye(env_dim))
-            + kron(np.eye(2), branch_parity(params)))
+    return (np.kron(sys_inversion, np.eye(env_dim))
+            + np.kron(np.eye(2), branch_parity(params)))

@@ -4,7 +4,8 @@ Effective states live on C^2 (x) C^2 with the system factor first and the
 sector factor in the unrotated branch labeling (sector index 0 = branch 1,
 1 = branch 2); see :mod:`ecps.exact` for how composite states map onto this
 space. Superoperators are stored as 16 x 16 matrices acting on
-column-stacked vectorizations.
+column-stacked vectorizations. The projectors and generators built here are
+Hermitian as such matrices.
 
 Vectorization convention (column stacking):
 
@@ -80,7 +81,8 @@ def apply_superop(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def projector_superop(theta: float) -> np.ndarray:
     """Sector dephasing in the theta-rotated branch basis (identity on the
     system factor): rotate the sector, zero its off-diagonal blocks, rotate
-    back. Idempotent, trace preserving and Hermiticity preserving."""
+    back. Idempotent, trace preserving and Hermiticity preserving; as a
+    16 x 16 matrix it is Hermitian (an orthogonal projector)."""
     u = branch_rotation(theta)
     p = np.zeros((16, 16), dtype=complex)
     for i in range(2):
@@ -107,7 +109,8 @@ def effective_generator_full(xi: float, lam: float) -> np.ndarray:
     total rate 2*lam at xi = 0, matching the closed-form relaxation rates of
     the model (and the golden-rule rate lam = alpha^2 * gamma * N).
 
-    Trace annihilating and Hermiticity preserving for any (xi, lam).
+    Trace annihilating and Hermiticity preserving for any (xi, lam). As a
+    16 x 16 matrix it is Hermitian: each pair of dissipators is.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -119,7 +122,10 @@ def effective_generator_full(xi: float, lam: float) -> np.ndarray:
 
 def tcl_generator(theta: float, xi: float, lam: float) -> np.ndarray:
     """Projected generator P_theta o G o P_theta driving the homogeneous
-    second-order master equation for the theta projector family."""
+    second-order master equation for the theta projector family.
+
+    Hermitian as a 16 x 16 matrix (up to rounding), since P_theta and G are;
+    :func:`ecps.tcl.steady_state` relies on this."""
     p = projector_superop(theta)
     return p @ effective_generator_full(xi, lam) @ p
 
@@ -137,15 +143,12 @@ def delta_superop(theta: float, xi: float, lam: float) -> np.ndarray:
 
 
 def choi_matrix(s: np.ndarray) -> np.ndarray:
-    """Choi matrix C = sum_ab S(E_ab) (x) E_ab over the 4x4 matrix units."""
-    s = np.asarray(s, dtype=complex)
-    c = np.zeros((16, 16), dtype=complex)
-    for a in range(EFF_DIM):
-        for b in range(EFF_DIM):
-            e = np.zeros((EFF_DIM, EFF_DIM), dtype=complex)
-            e[a, b] = 1.0
-            c += np.kron(apply_superop(s, e), e)
-    return c
+    """Choi matrix C = sum_ab S(E_ab) (x) E_ab over the 4x4 matrix units.
+
+    An index permutation of S: C[(i, a), (j, b)] = S(E_ab)[i, j] is the
+    column-stacked entry S[4j + i, 4b + a]."""
+    s = np.asarray(s, dtype=complex).reshape(EFF_DIM, EFF_DIM, EFF_DIM, EFF_DIM)
+    return s.transpose(1, 3, 0, 2).reshape(EFF_DIM ** 2, EFF_DIM ** 2)
 
 
 @dataclass

@@ -2,6 +2,12 @@
 plus the combinator that evolves each component of a separable initial state
 under its own projector and sums the reduced trajectories.
 
+The projected generators (:func:`ecps.superop.tcl_generator`) are Hermitian
+as 16 x 16 matrices, so their eigenvectors are orthonormal and the long-time
+limit is an orthogonal projection onto their kernel. :func:`solve_tcl` takes
+uniform time grids starting at 0, the grids every experiment uses, and
+propagates with one step propagator expm(K dt).
+
 The solver deliberately refuses unprojected initial states instead of
 projecting them silently: a nonzero irrelevant part means the homogeneous
 equation being solved is not the right equation for that state, and hiding
@@ -10,20 +16,24 @@ apply the projector first (see :func:`ecps.superop.projector_superop`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .exact import reduced_from_sector
-from .linalg import is_density
-from .superop import apply_superop, projector_superop, unvec, vec
+from .exact import Trajectory, reduced_from_sector
+from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
+from .superop import (apply_superop, projector_superop, tcl_generator, unvec,
+                      vec)
 
 #: residual above which an initial state counts as unprojected
 HOMOGENEITY_TOL = 1e-10
 #: spectral tolerance for the steady-state kernel projection, relative to the
 #: largest eigenvalue modulus of the generator (every rate scales with lambda)
 KERNEL_TOL = 1e-9
+#: how far the ECPS component weights may sum away from 1 (the config check
+#: uses the same bound, so a config that validates also runs)
+WEIGHT_TOL = 1e-12
 
 
 class HomogeneityError(ValueError):
@@ -32,24 +42,6 @@ class HomogeneityError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Generator has a spectral component growing in time; no steady state."""
-
-
-@dataclass
-class TclSolution:
-    """Solution of d/dt rho = K rho on the effective space.
-
-    states has shape (T, 4, 4), system_states (T, 2, 2). theta records the
-    projector angle used to build K (None for combined multi-projector
-    solutions); xi and lam are carried through for provenance.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    system_states: np.ndarray
-    theta: float | None
-    xi: float | None = None
-    lam: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -62,19 +54,25 @@ class EcpsComponent:
     theta: float
 
 
-def homogeneity_residual(rho0: np.ndarray, theta: float) -> float:
-    """Max-norm of the irrelevant part (I - P_theta) rho0."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    return float(np.abs(apply_superop(projector_superop(theta), rho0) - rho0).max())
+def _require_homogeneous(rho0: np.ndarray, theta: float):
+    """Raise HomogeneityError when the irrelevant part (I - P_theta) rho0
+    exceeds HOMOGENEITY_TOL in max-norm."""
+    resid = float(np.abs(apply_superop(projector_superop(theta), rho0) - rho0).max())
+    if resid > HOMOGENEITY_TOL:
+        raise HomogeneityError(
+            f"initial state is not invariant under the theta={theta:.6g} projector "
+            f"(residual {resid:.3e}); apply the projector first")
 
 
-def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float,
-              xi: float | None = None, lam: float | None = None) -> TclSolution:
-    """Propagate vec(rho(t)) = expm(K t) vec(rho0) on the given time grid.
+def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> Trajectory:
+    """Propagate vec(rho(t)) = expm(K t) vec(rho0) on a uniform time grid,
+    applying the step propagator expm(K dt) once per step.
 
-    ``rho0`` must already be invariant under the projector for ``theta``
-    (within HOMOGENEITY_TOL); otherwise a HomogeneityError signals a
-    misconfigured homogeneous equation.
+    ``times`` must be a uniform grid increasing from 0, or the single time
+    0; any other grid raises ValueError. ``rho0`` must already be
+    invariant under the projector for ``theta`` (within HOMOGENEITY_TOL);
+    otherwise a HomogeneityError signals a misconfigured homogeneous
+    equation.
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -83,97 +81,77 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float,
         raise ValueError("generator must be 16 x 16")
     if rho0.shape != (4, 4):
         raise ValueError("initial effective state must be 4 x 4")
-    resid = homogeneity_residual(rho0, theta)
-    if resid > HOMOGENEITY_TOL:
-        raise HomogeneityError(
-            f"initial state is not invariant under the theta={theta:.6g} projector "
-            f"(residual {resid:.3e}); apply the projector first")
-
-    v0 = vec(rho0)
-    states = np.empty((times.size, 4, 4), dtype=complex)
-    # uniform grids reuse one propagator per step; general grids get expm(K t)
+    if times.ndim != 1 or times.size == 0 or not abs(times[0]) <= 1e-12:
+        raise ValueError("times must be a uniform grid increasing from 0")
     dts = np.diff(times)
-    if times.size > 1 and np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15):
-        step = expm(k * dts[0])
-        cur = expm(k * times[0]) @ v0 if abs(times[0]) > 0 else v0.copy()
-        for i in range(times.size):
-            states[i] = unvec(cur)
-            if i + 1 < times.size:
-                cur = step @ cur
-    else:
-        for i, t in enumerate(times):
-            states[i] = unvec(expm(k * t) @ v0)
-    system = np.array([reduced_from_sector(s) for s in states])
-    return TclSolution(times=times, states=states, system_states=system,
-                       theta=theta, xi=xi, lam=lam)
+    dt = dts[0] if dts.size else 0.0
+    if dts.size and not (dt > 0 and np.allclose(dts, dt, rtol=1e-12, atol=1e-15)):
+        raise ValueError("times must be a uniform grid increasing from 0")
+    _require_homogeneous(rho0, theta)
+
+    step = expm(k * dt)
+    vecs = np.empty((times.size, 16), dtype=complex)
+    vecs[0] = vec(rho0)
+    for i in range(1, times.size):
+        vecs[i] = step @ vecs[i - 1]
+    states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)     # unvec of each row
+    return Trajectory(times=times, states=states,
+                      system_states=reduced_from_sector(states))
 
 
-def ecps_evolve(components, xi: float, lam: float, times) -> TclSolution:
+def ecps_evolve(components, xi: float, lam: float, times) -> Trajectory:
     """Evolve each component under its own projected generator and sum.
 
     Every component state must be invariant under its own projector; a
     violation raises HomogeneityError naming the component. Weights must be
-    positive and sum to 1.
+    positive and sum to 1 within WEIGHT_TOL.
     """
-    from .superop import tcl_generator
-
     components = list(components)
     if not components:
         raise ValueError("need at least one component")
     weights = np.array([c.weight for c in components], dtype=float)
     if np.any(weights <= 0):
         raise ValueError("component weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if abs(weights.sum() - 1.0) > WEIGHT_TOL:
         raise ValueError(f"component weights must sum to 1, got {weights.sum()!r}")
+    times = np.asarray(times, dtype=float)
+    total = np.zeros((times.size, 4, 4), dtype=complex)
     for i, comp in enumerate(components):
         state = np.asarray(comp.state, dtype=complex)
         if not is_density(state, 1e-9):
             raise ValueError(f"component {i} state is not a density matrix")
-        resid = homogeneity_residual(state, comp.theta)
-        if resid > HOMOGENEITY_TOL:
-            raise HomogeneityError(
-                f"component {i} (theta={comp.theta:.6g}) violates the homogeneity "
-                f"precondition: residual {resid:.3e}")
-    times = np.asarray(times, dtype=float)
-    total_states = np.zeros((times.size, 4, 4), dtype=complex)
-    parts = []
-    for comp in components:
         k = tcl_generator(comp.theta, xi, lam)
-        sol = solve_tcl(k, np.asarray(comp.state, complex), times, comp.theta,
-                        xi=xi, lam=lam)
-        total_states += comp.weight * sol.states
-        parts.append({"theta": comp.theta, "weight": comp.weight})
-    system = np.array([reduced_from_sector(s) for s in total_states])
-    thetas = {c.theta for c in components}
-    return TclSolution(times=times, states=total_states, system_states=system,
-                       theta=components[0].theta if len(thetas) == 1 else None,
-                       xi=xi, lam=lam, meta={"components": parts})
+        try:
+            sol = solve_tcl(k, state, times, comp.theta)
+        except HomogeneityError as exc:
+            raise HomogeneityError(f"component {i}: {exc}") from exc
+        total += comp.weight * sol.states
+    return Trajectory(times=times, states=total,
+                      system_states=reduced_from_sector(total))
 
 
 def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:
-    """t -> infinity limit of solve_tcl via spectral projection onto ker K.
+    """t -> infinity limit of solve_tcl: the orthogonal projection of rho0
+    onto ker K.
 
-    Conserved quantities make multi-dimensional kernels the norm here, so the
-    limit is the projection of rho0 onto the kernel along the decaying
-    spectral subspaces. The kernel and the divergence test are judged relative
-    to the largest eigenvalue modulus of K, so the result does not depend on
-    the overall rate scale; K = 0 returns rho0. Raises DivergenceError when K
-    has an eigenvalue with positive real part (the homogeneous equation has no
-    steady state then).
+    ``k`` must be Hermitian (relative to its largest entry, within the
+    structural tolerance), as every projected generator is; anything else
+    raises ValueError. With orthonormal eigenvectors V, expm(K t) tends to
+    V0 V0^dagger, V0 the eigenvectors of the zero eigenvalues. Conserved
+    quantities make multi-dimensional kernels the norm here. The kernel and
+    the divergence test are judged relative to the largest eigenvalue
+    modulus of K, so the result does not depend on the overall rate scale;
+    K = 0 returns rho0. Raises DivergenceError when K has a positive
+    eigenvalue (the homogeneous equation has no steady state then).
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
-    resid = homogeneity_residual(rho0, theta)
-    if resid > HOMOGENEITY_TOL:
-        raise HomogeneityError(
-            f"initial state is not invariant under the theta={theta:.6g} projector "
-            f"(residual {resid:.3e})")
-    w, v = np.linalg.eig(k)
+    _require_homogeneous(rho0, theta)
+    w, v = eig_hermitian(k, STRUCTURAL_TOL * np.abs(k).max())
     tol = KERNEL_TOL * np.abs(w).max()
-    if np.any(w.real > tol):
+    if w[-1] > tol:
         raise DivergenceError(
-            f"generator has eigenvalues with positive real part "
-            f"(max {w.real.max():.3e}); solution diverges as t -> infinity")
-    selector = (np.abs(w) <= tol).astype(float)
-    coeffs = np.linalg.solve(v, vec(rho0))
-    return unvec(v @ (selector * coeffs))
+            f"generator has positive eigenvalues (max {w[-1]:.3e}); "
+            f"solution diverges as t -> infinity")
+    kernel = v[:, np.abs(w) <= tol]
+    return unvec(kernel @ (kernel.conj().T @ vec(rho0)))

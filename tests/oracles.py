@@ -13,17 +13,37 @@ import numpy as np
 # stacking, so entry (r, c) sits at vec index 4*c + r.
 
 
-def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct four-index realization of the Kronecker product."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
+#: the two reference angles of the projector family: the branch basis and
+#: the (+, -) pair
+SECTOR_THETAS = (0.0, np.pi / 4)
+
+
+def rotate_sector(states: np.ndarray, theta: float) -> np.ndarray:
+    """Effective state(s) (..., 4, 4) from the unrotated branch basis into the
+    theta-rotated one, |1,theta> = cos|1> + sin|2>, |2,theta> = -sin|1> +
+    cos|2>, on the sector factor (system index first)."""
+    c, s = np.cos(theta), np.sin(theta)
+    u = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
+    return u.T @ states @ u
+
+
+def partial_trace(m: np.ndarray, dims, keep: int) -> np.ndarray:
+    """Trace out all tensor factors of ``m`` except ``dims[keep]``.
+
+    ``dims`` lists the subsystem dimensions whose product must equal the
+    matrix size; the trace is preserved.
+    """
+    m = np.asarray(m, dtype=complex)
+    dims = [int(d) for d in dims]
+    total = int(np.prod(dims))
+    if m.shape != (total, total):
+        raise ValueError(
+            f"matrix of shape {m.shape} does not match subsystem dims {dims}")
+    t = m.reshape(dims + dims)
+    # trace highest-index factors first so lower axes keep their positions
+    for i in sorted((i for i in range(len(dims)) if i != keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    return t
 
 
 def rk4_von_neumann(h: np.ndarray, rho0: np.ndarray, t_final: float,
@@ -70,9 +90,7 @@ def evolve_exact_dense(h: np.ndarray, rho0: np.ndarray, times, thetas):
         system.append(np.array([[eff[0, 0] + eff[1, 1], eff[0, 2] + eff[1, 3]],
                                 [eff[2, 0] + eff[3, 1], eff[2, 2] + eff[3, 3]]]))
         for th in thetas:
-            c, s = np.cos(th), np.sin(th)
-            u = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
-            sectors[th].append(u.T @ eff @ u)
+            sectors[th].append(rotate_sector(eff, th))
     return np.array(system), {th: np.array(x) for th, x in sectors.items()}
 
 

@@ -101,8 +101,8 @@ def _compare_run(params, sys0, env_spec, thetas):
     times = np.linspace(0.0, 5.0 / lam, 400)
     h = build_hamiltonian(params, sample_couplings(params))
     rho0 = initial_state(sys0, env_spec, params)
-    exact = evolve_exact(h, rho0, times, theta_bases=(0.0,))
-    eff0 = sector_variables(rho0, 0.0, params)
+    exact = evolve_exact(h, rho0, times)
+    eff0 = sector_variables(rho0, 0.0)
     sols = {}
     for th in thetas:
         k = tcl_generator(th, params.xi, lam)
@@ -161,7 +161,7 @@ def test_criterion_4_steady_state_experiment():
     def run_component1(p):
         h = build_hamiltonian(p, sample_couplings(p))
         return evolve_exact(h, initial_state(rho_pop, "maximally_mixed", p),
-                            np.array([0.0, t_inf]), theta_bases=(0.0,))
+                            np.array([0.0, t_inf]))
 
     exact_c1 = ensemble_average(params, 4, run_component1)
     pops_c1 = np.diag(exact_c1.system_states[-1]).real
@@ -172,7 +172,7 @@ def test_criterion_4_steady_state_experiment():
         h = build_hamiltonian(p, sample_couplings(p))
         rho0 = (p1_weight * initial_state(rho_pop, "maximally_mixed", p)
                 + (1 - p1_weight) * initial_state(rho_coh, "plus_projector", p))
-        return evolve_exact(h, rho0, np.array([0.0, t_inf]), theta_bases=(0.0,))
+        return evolve_exact(h, rho0, np.array([0.0, t_inf]))
 
     exact_mix = ensemble_average(params, 4, run_mixture)
     pops_exact = np.diag(exact_mix.system_states[-1]).real
@@ -265,10 +265,10 @@ def test_criterion_5_property_suites():
     h2 = build_hamiltonian(p2, sample_couplings(p2))
     rho2 = initial_state(np.diag([1.0, 0.0]).astype(complex),
                          ("branch_projector", 0.0, 1), p2)
-    traj = evolve_exact(h2, rho2, np.array([0.0, 2.0]), theta_bases=(0.0,))
+    traj = evolve_exact(h2, rho2, np.array([0.0, 2.0]))
     rho_rk4 = rk4_von_neumann(h2, rho2, 2.0, 1e-3)
     checks["rk4 equivalence"] = np.abs(
-        traj.sector_states[0.0][-1] - sector_variables(rho_rk4, 0.0)).max() <= 1e-6
+        traj.states[-1] - sector_variables(rho_rk4, 0.0)).max() <= 1e-6
 
     # choi round trip
     s = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -323,9 +323,8 @@ def test_criterion_6_effective_space_faithfulness():
     for s in range(draws):
         p = params.with_seed(100000 + s)
         h = build_hamiltonian(p, sample_couplings(p))
-        traj = evolve_exact(h, rho0, np.array([0.0, t1, t2]), theta_bases=(0.0,))
-        estimates[s] = (traj.sector_states[0.0][2]
-                        - traj.sector_states[0.0][1]) / (t2 - t1)
+        traj = evolve_exact(h, rho0, np.array([0.0, t1, t2]))
+        estimates[s] = (traj.states[2] - traj.states[1]) / (t2 - t1)
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(draws)
     dev = np.abs(mean - predicted)

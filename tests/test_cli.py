@@ -70,6 +70,31 @@ class TestValidate:
     def test_unreadable_config(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) == 2
 
+    @staticmethod
+    def ecps_cfg(weights):
+        cfg = compare_cfg()
+        del cfg["initial_state"]
+        cfg["ecps"] = [{"weight": w, "theta": 0.0,
+                        "system": {"kind": "diagonal", "populations": [0.9, 0.1]},
+                        "environment": {"kind": "maximally_mixed"}}
+                       for w in weights]
+        return cfg
+
+    @pytest.mark.parametrize("case", ["weights_sum_1e-10_short",
+                                      "weights_sum_0.9", "non_density_matrix"])
+    def test_configs_the_runner_rejects_exit_2(self, tmp_path, capsys, case):
+        if case == "non_density_matrix":
+            cfg_dict = compare_cfg()
+            cfg_dict["initial_state"]["system"] = {
+                "kind": "matrix", "entries_re": [[1.0, 0.9], [0.9, 0.0]]}
+        else:
+            weight = 0.3333333333 if case == "weights_sum_1e-10_short" else 0.3
+            cfg_dict = self.ecps_cfg([weight] * 3)
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_runs_and_writes_outputs(self, tmp_path):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 import ecps.exact
-from ecps import (ModelParams, build_hamiltonian, build_projector,
-                  conserved_charge, eig_hermitian, ensemble_average,
-                  evolve_exact, initial_state, kron, partial_trace,
+from ecps import (ModelParams, build_hamiltonian, conserved_charge,
+                  eig_hermitian, ensemble_average, evolve_exact, initial_state,
                   reduced_from_sector, sample_couplings, sector_variables)
-from ecps.exact import SECTOR_THETAS
-from oracles import evolve_exact_dense, rk4_von_neumann
+from oracles import (SECTOR_THETAS, evolve_exact_dense, partial_trace,
+                     rk4_von_neumann, rotate_sector)
 
 PI4 = np.pi / 4
 
@@ -33,7 +32,7 @@ class TestSectorVariables:
         theta = 0.42
         rho = initial_state(np.diag([1.0, 0.0]).astype(complex),
                             ("branch_projector", theta, 1), p)
-        eff = sector_variables(rho, theta, p)
+        eff = sector_variables(rho, theta)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0  # (system 0, first rotated branch)
         assert np.abs(eff - expected).max() <= 1e-12
@@ -43,7 +42,7 @@ class TestSectorVariables:
         p = params(n_levels=6)
         rho = initial_state(np.diag([1.0, 0.0]).astype(complex),
                             "maximally_mixed", p)
-        eff = sector_variables(rho, theta, p)
+        eff = sector_variables(rho, theta)
         expected = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         assert np.abs(eff - expected).max() <= 1e-12
 
@@ -61,7 +60,7 @@ class TestSectorVariables:
     def test_reduction_matches_partial_trace(self):
         p = params(n_levels=5)
         h, rho0 = setup(p)
-        eff = sector_variables(rho0, 0.27, p)
+        eff = sector_variables(rho0, 0.27)
         direct = partial_trace(rho0, [2, 2 * p.n_levels], keep=0)
         assert np.abs(reduced_from_sector(eff) - direct).max() <= 1e-12
 
@@ -87,8 +86,8 @@ class TestEvolveExact:
         t_final = 2.0
         traj = evolve_exact(h, rho0, np.array([0.0, t_final]))
         rho_rk4 = rk4_von_neumann(h, rho0, t_final, dt=1e-3)
-        eff = sector_variables(rho_rk4, 0.0, p)
-        assert np.abs(traj.sector_states[0.0][-1] - eff).max() <= 1e-6
+        eff = sector_variables(rho_rk4, 0.0)
+        assert np.abs(traj.states[-1] - eff).max() <= 1e-6
         assert np.abs(traj.system_states[-1] - reduced_from_sector(eff)).max() <= 1e-6
 
     def test_conservation_laws(self):
@@ -153,13 +152,13 @@ class TestEigenbasisReadout:
 
     def _check(self, p, env, times):
         h, rho0 = setup(p, sys=self.SYS, env=env)
-        traj = evolve_exact(h, rho0, times, theta_bases=self.THETAS)
+        traj = evolve_exact(h, rho0, times)
         system, sectors = evolve_exact_dense(h, rho0, times, self.THETAS)
         assert traj.system_states.shape == (len(times), 2, 2)
+        assert traj.states.shape == (len(times), 4, 4)
         assert np.abs(traj.system_states - system).max() <= 1e-12
         for th in self.THETAS:
-            assert traj.sector_states[th].shape == (len(times), 4, 4)
-            assert np.abs(traj.sector_states[th] - sectors[th]).max() <= 1e-12
+            assert np.abs(rotate_sector(traj.states, th) - sectors[th]).max() <= 1e-12
 
     @pytest.mark.parametrize("env", ENVS)
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
@@ -232,7 +231,7 @@ class TestBlocks:
         system, sectors = evolve_exact_dense(h, rho0, times, SECTOR_THETAS)
         assert np.abs(traj.system_states - system).max() <= 1e-12
         for th in SECTOR_THETAS:
-            assert np.abs(traj.sector_states[th] - sectors[th]).max() <= 1e-12
+            assert np.abs(rotate_sector(traj.states, th) - sectors[th]).max() <= 1e-12
 
     @pytest.mark.parametrize("xi", [0.0, 1.0])
     def test_rejects_non_hermitian_singleton(self, xi):
@@ -294,6 +293,16 @@ class TestEnsembleAverage:
         avg = ensemble_average(p, 3, lambda q: run_one(q.with_seed(p.seed)))
         assert np.abs(avg.system_states - single.system_states).max() <= 1e-15
 
+    def test_pointwise_means(self):
+        p = params()
+        run_one = self._runner(env="plus_projector")
+        avg = ensemble_average(p, 3, run_one)
+        runs = [run_one(p.with_seed(s)) for s in (p.seed, p.seed + 1, p.seed + 2)]
+        assert np.abs(runs[0].states - runs[1].states).max() > 1e-3
+        for field in ("states", "system_states"):
+            mean = np.mean([getattr(r, field) for r in runs], axis=0)
+            assert np.abs(getattr(avg, field) - mean).max() == 0.0
+
     def test_self_averaging_spread(self):
         # large-band instance: per-seed scatter of the final population is small
         p = ModelParams(n_levels=60, delta_eps=0.5, alpha=5e-3, xi=0.0, seed=1000)
@@ -303,7 +312,6 @@ class TestEnsembleAverage:
         for k in range(8):
             q = p.with_seed(1000 + k)
             h, rho0 = setup(q, env=("branch_projector", theta0, 1))
-            traj = evolve_exact(h, rho0, np.array([0.0, t_final]),
-                                theta_bases=(0.0,))
+            traj = evolve_exact(h, rho0, np.array([0.0, t_final]))
             finals.append(traj.system_states[-1, 0, 0].real)
         assert np.std(finals, ddof=1) <= 0.03

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ecps import (BasisIndex, ModelParams, build_h0, build_hamiltonian,
-                  build_projector, build_v, conserved_charge, initial_state,
-                  is_density, is_hermitian, kron, sample_couplings)
+from ecps import (ModelParams, build_h0, build_hamiltonian, build_projector,
+                  build_v, conserved_charge, initial_state, is_density,
+                  is_hermitian, sample_couplings)
 from ecps.model import PAULI_Z
 from oracles import build_v_kron
 
@@ -27,32 +27,6 @@ class TestParams:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             params(**bad)
-
-
-class TestBasisIndex:
-    def test_round_trip(self):
-        bi = BasisIndex(5)
-        seen = set()
-        for m in (0, 1):
-            for n in range(1, 6):
-                for i in (1, 2):
-                    idx = bi.flat(m, n, i)
-                    assert bi.unflat(idx) == (m, n, i)
-                    seen.add(idx)
-        assert seen == set(range(bi.dim))
-
-    def test_documented_ordering(self):
-        bi = BasisIndex(3)
-        assert bi.flat(0, 1, 1) == 0
-        assert bi.flat(0, 1, 2) == 1
-        assert bi.flat(0, 2, 1) == 2
-        assert bi.flat(1, 1, 1) == bi.env_dim
-
-    def test_range_checks(self):
-        bi = BasisIndex(3)
-        for bad in [(2, 1, 1), (0, 0, 1), (0, 4, 1), (0, 1, 3)]:
-            with pytest.raises(ValueError):
-                bi.flat(*bad)
 
 
 class TestCouplings:
@@ -100,7 +74,7 @@ class TestHamiltonians:
     def test_h0_commutes_with_system(self):
         p = params()
         h0 = build_h0(p)
-        sz = kron(PAULI_Z, np.eye(2 * p.n_levels))
+        sz = np.kron(PAULI_Z, np.eye(2 * p.n_levels))
         assert np.abs(h0 @ sz - sz @ h0).max() == 0.0
 
     def test_prefactors(self):

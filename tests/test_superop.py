@@ -130,6 +130,25 @@ class TestTclGenerator:
         assert worst <= 1e-12
 
 
+class TestHermitian:
+    """As 16 x 16 matrices the projectors and generators are Hermitian;
+    ecps.tcl.steady_state relies on it."""
+
+    @staticmethod
+    def asymmetry(m):
+        return np.abs(m - m.conj().T).max() / np.abs(m).max()
+
+    @pytest.mark.parametrize("lam", [1.0, 1e-12])
+    def test_projectors_and_generators(self, lam):
+        worst = 0.0
+        for xi in np.linspace(0, 1, 11):
+            worst = max(worst, self.asymmetry(effective_generator_full(xi, lam)))
+            for theta in np.linspace(0, np.pi / 2, 17):
+                worst = max(worst, self.asymmetry(projector_superop(theta)),
+                            self.asymmetry(tcl_generator(theta, xi, lam)))
+        assert worst <= 1e-14
+
+
 class TestDeltaSuperop:
     @pytest.mark.parametrize("xi,theta", [(0.0, 0.0), (1.0, PI4)])
     def test_matched_cases_vanish(self, xi, theta):

@@ -38,7 +38,7 @@ class TestSolveTcl:
         lam = 1.0
         k = tcl_generator(0.0, 0.0, lam)
         rho0 = sector_unit(0, 0)
-        sol = solve_tcl(k, rho0, np.linspace(0, 6, 13), theta=0.0, xi=0.0, lam=lam)
+        sol = solve_tcl(k, rho0, np.linspace(0, 6, 13), theta=0.0)
         offdiag = sol.states - np.einsum(
             'tij,ij->tij', sol.states, np.eye(4))
         assert np.abs(offdiag).max() <= 1e-12
@@ -49,22 +49,35 @@ class TestSolveTcl:
     def test_matches_adaptive_integrator(self):
         lam = 0.9
         k = tcl_generator(0.3, 0.6, lam)
-        rho0 = project(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), 0.3)
+        coherent = np.array([[0.4, 0.0, 0.05 + 0.04j, 0.0],
+                             [0.0, 0.1, 0.0, 0.02 - 0.03j],
+                             [0.05 - 0.04j, 0.0, 0.2, 0.0],
+                             [0.0, 0.02 + 0.03j, 0.0, 0.3]])
         times = np.linspace(0, 8, 9)
-        sol = solve_tcl(k, rho0, times, theta=0.3)
-        ivp = solve_ivp(lambda t, y: k @ y, (0, times[-1]), vec(rho0),
-                        t_eval=times, rtol=1e-11, atol=1e-13)
-        assert ivp.success
-        for i in range(len(times)):
-            assert np.abs(vec(sol.states[i]) - ivp.y[:, i]).max() <= 1e-8
+        # a complex state tells each state from its transpose
+        for state in (np.diag([0.4, 0.1, 0.2, 0.3]), coherent):
+            rho0 = project(state.astype(complex), 0.3)
+            sol = solve_tcl(k, rho0, times, theta=0.3)
+            ivp = solve_ivp(lambda t, y: k @ y, (0, times[-1]), vec(rho0),
+                            t_eval=times, rtol=1e-11, atol=1e-13)
+            assert ivp.success
+            for i in range(len(times)):
+                assert np.abs(vec(sol.states[i]) - ivp.y[:, i]).max() <= 1e-8
 
-    def test_non_uniform_grid(self):
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.5, 2.0], [0.5, 1.0, 1.5],
+                                       [0.0, -1.0, -2.0], [0.0, 0.0, 0.0], [],
+                                       [[0.0, 1.0]]])
+    def test_rejects_other_than_uniform_grid_from_zero(self, times):
         k = tcl_generator(0.0, 0.2, 1.0)
         rho0 = project(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), 0.0)
-        times = np.array([0.0, 0.1, 0.5, 2.0])
-        sol = solve_tcl(k, rho0, times, theta=0.0)
-        uniform = solve_tcl(k, rho0, np.linspace(0, 2.0, 21), theta=0.0)
-        assert np.abs(sol.states[-1] - uniform.states[-1]).max() <= 1e-12
+        with pytest.raises(ValueError, match="uniform grid"):
+            solve_tcl(k, rho0, times, theta=0.0)
+
+    def test_single_time(self):
+        rho0 = project(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), 0.0)
+        sol = solve_tcl(tcl_generator(0.0, 0.2, 1.0), rho0, [0.0], theta=0.0)
+        assert sol.states.shape == (1, 4, 4)
+        assert np.abs(sol.states[0] - rho0).max() == 0.0
 
     def test_trace_and_hermiticity_along_solution(self):
         rng = np.random.default_rng(12)
@@ -196,6 +209,15 @@ class TestSteadyState:
         for lam in (1e-3, 1e-8, 1e-10, 1e-12):
             ss = steady_state(tcl_generator(0.0, 0.5, lam), rho0, theta=0.0)
             assert np.abs(ss - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1.0, 1e-12])
+    def test_rejects_non_hermitian_generator(self, lam):
+        # a one-sided rate: not a projected generator, and its eigenvectors
+        # are not orthonormal
+        k = tcl_generator(0.0, 0.5, lam)
+        k[0, 15] += 1e-3 * lam
+        with pytest.raises(ValueError):
+            steady_state(k, sector_unit(0, 0), theta=0.0)
 
     def test_flags_divergence_at_tiny_rates(self):
         lam = 1e-12
