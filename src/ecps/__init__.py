@@ -3,9 +3,8 @@ diagnostics for a two-state system coupled to a two-branch energy band."""
 
 from .linalg import (STRUCTURAL_TOL, eig_hermitian, is_density, is_hermitian,
                      singular_values)
-from .model import (CouplingSet, ModelParams, branch_parity, build_h0,
-                    build_hamiltonian, build_projector, build_v,
-                    conserved_charge, initial_state, sample_couplings)
+from .model import (CouplingSet, ModelParams, build_hamiltonian,
+                    build_projector, build_v, initial_state, sample_couplings)
 from .exact import (Trajectory, ensemble_average, evolve_exact,
                     realization_seeds, reduced_from_sector, sector_variables)
 from .superop import (DeltaScan, apply_superop, choi_matrix, delta_superop,
@@ -19,9 +18,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CouplingSet", "DeltaScan", "DivergenceError", "EcpsComponent",
     "HomogeneityError", "ModelParams", "STRUCTURAL_TOL", "Trajectory",
-    "apply_superop", "branch_parity", "build_h0", "build_hamiltonian",
-    "build_projector", "build_v", "choi_matrix", "conserved_charge",
-    "delta_superop", "ecps_evolve", "effective_generator_full",
+    "apply_superop", "build_hamiltonian", "build_projector", "build_v",
+    "choi_matrix", "delta_superop", "ecps_evolve", "effective_generator_full",
     "eig_hermitian", "ensemble_average", "evolve_exact", "initial_state",
     "is_density", "is_hermitian", "projector_superop", "realization_seeds",
     "reduced_from_sector", "sample_couplings", "scan_delta",

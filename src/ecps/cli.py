@@ -95,7 +95,7 @@ def _initial_states(pieces, params):
     states = [(w, initial_state(sysm, env, params), th)
               for w, sysm, env, th in pieces]
     rho0 = sum(w * state for w, state, _ in states)
-    return rho0, [(w, sector_variables(state, 0.0), th) for w, state, th in states]
+    return rho0, [(w, sector_variables(state), th) for w, state, th in states]
 
 
 def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> list[Path]:

@@ -17,23 +17,25 @@ the 4x4 matrix of level-summed ("collective") matrix elements
 indexed system-major (row = 2l + j, column = 2m + k with j, k = 0, 1 for the
 two rotated branches). It is Hermitian whenever rho is, carries the full
 trace, and reduces to the system state via rho_A[l, m] = sum_j eff[(l,j),(m,j)].
+The code computes theta = 0 only; a rotated basis follows by the 4x4
+rotation u^dagger eff u with u = I (x) ``model.branch_rotation(theta)``.
 
 Blocks: H splits into the connected components of its nonzero pattern, and
 V is the direct sum of the components' eigenvectors, so each component with
 more than one index gets its own (smaller) eigendecomposition and a 1 x 1
-component is its own eigenpair. For the spin-band model the branch channel
-conserves system inversion plus branch parity (``model.conserved_charge``):
-at xi = 0 the pattern has one 2N block {|0,n,2>, |1,n',1>} and 2N
-singletons |0,n,1>, |1,n,2> that see only H0; at 0 < xi < 1 it is one 4N
-block. At xi = 1 the same split appears in the x frame
-W = Had (x) I_N (x) Had (Hadamard on the system and on each level's branch
-pair), which leaves H0 unchanged. Sector variables are covariant under W:
-with U4 = Had (x) Had, eff(rho) = U4 eff(W rho W) U4. Propagation therefore
-runs in the x frame when H is one block in the plain frame but splits in the
-x frame, and in the plain frame otherwise. The frame transform rounds (at
-xi = 1 the diagonal blocks hold fl(e_n + alpha v), whose rounding does not
-cancel), so entries of at most 4 eps max|H| count as zero; that is below the
-backward error of ``eigh`` on H itself.
+component is its own eigenpair. At xi = 0 the branch channel conserves
+system inversion plus branch parity, and the pattern has one 2N block
+{|0,n,2>, |1,n',1>} and 2N singletons |0,n,1>, |1,n,2> that see only H0.
+When the plain pattern is one block (xi > 0), propagation runs in the Bell
+frame W = U4 (x) I_N, where U4 (real, symmetric, its own inverse) has the
+columns Phi+, Psi+, Psi-, Phi- over the pairs r = 2l + j. For every xi,
+Phi+ (x) C^N is invariant under H and sees only H0, so the Bell frame has
+one 3N block and N singletons at 0 < xi < 1, and one 2N block and 2N
+singletons at xi = 1. Every entry that W should cancel is a difference of
+two bit-identical numbers (see ``model.build_v``), and W is applied as
+unscaled butterflies and one exact halving, so the pattern is read off
+exact zeros; an h that the Bell frame does not split is propagated as one
+block. Sector variables are covariant under W: eff(rho) = U4 eff(W rho W) U4.
 
 Readout in the eigenbasis: the composite index of |l, n, j> is l*2N + 2n + j,
 so the N rows of V for the system/branch pair r = 2l + j form an N x 4N block
@@ -48,9 +50,7 @@ only the 10 entries with r <= c to compute. The eigen-columns are ordered
 component by component, grouped by the pairs r their support touches, so
 each A_r is nonzero only on one contiguous range of columns (at xi = 0: N
 singletons for r = 0, the 2N block for r = 1, 2, N singletons for r = 3),
-and M_rc and the phases are restricted to the ranges of r and c. Trajectories
-carry the theta = 0 stack; a rotated basis follows from it by one 4x4
-rotation (as in :func:`sector_variables`).
+and M_rc and the phases are restricted to the ranges of r and c.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
-from .model import ModelParams, branch_rotation
+from .model import ModelParams
 
 
 @dataclass
@@ -77,8 +77,8 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
-def sector_variables(rho: np.ndarray, theta: float) -> np.ndarray:
-    """Effective 4x4 state of a 4N x 4N composite matrix in the theta-rotated
+def sector_variables(rho: np.ndarray) -> np.ndarray:
+    """Effective 4x4 state of a 4N x 4N composite matrix in the unrotated
     branch basis (see module docstring for the index convention)."""
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
@@ -86,11 +86,7 @@ def sector_variables(rho: np.ndarray, theta: float) -> np.ndarray:
         raise ValueError(f"expected a 4N x 4N matrix, got shape {rho.shape}")
     n = dim // 4
     t = rho.reshape(2, n, 2, 2, n, 2)
-    eff0 = np.einsum('lnjmnk->ljmk', t).reshape(4, 4)
-    if theta == 0.0:
-        return eff0
-    u = np.kron(np.eye(2), branch_rotation(theta))
-    return u.conj().T @ eff0 @ u
+    return np.einsum('lnjmnk->ljmk', t).reshape(4, 4)
 
 
 def reduced_from_sector(eff: np.ndarray) -> np.ndarray:
@@ -100,28 +96,30 @@ def reduced_from_sector(eff: np.ndarray) -> np.ndarray:
     return np.einsum('...ljmj->...lm', e.reshape(e.shape[:-2] + (2, 2, 2, 2)))
 
 
-#: U4 = Had (x) Had, which takes a 4x4 effective state out of the x frame
-_U4 = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2.0
+#: sqrt(2) U4, whose columns are Phi+, Psi+, Psi-, Phi- over the pairs
+#: r = 2l + j
+_BELL = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                  [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
 
 
-def _x_frame(m: np.ndarray) -> np.ndarray:
-    """W m W for W = Had (x) I_N (x) Had (real, symmetric, its own inverse).
+def _bell_frame(m: np.ndarray) -> np.ndarray:
+    """W m W for W = U4 (x) I_N (real, symmetric, its own inverse).
 
-    Unscaled butterflies (a + b, a - b) over the system and branch index of
-    rows and columns, then one exact division by 4, so entries that cancel
-    exactly come out as exact zeros."""
+    Unscaled butterflies over the pair r = 2l + j of the rows and then of the
+    columns: pair (0, j) meets pair (1, 1 - j), the sum goes to (0, j) and the
+    difference to (1, 1 - j). One exact halving follows, so entries that
+    cancel exactly come out as exact zeros."""
     d = m.shape[0]
     src = m.reshape(2, d // 4, 2, 2, d // 4, 2)
-    bufs = (np.empty_like(src), np.empty_like(src))
-    for k, axis in enumerate((0, 2, 3, 5)):
-        out = bufs[k % 2]
-        first = (slice(None),) * axis + (0,)
-        second = (slice(None),) * axis + (1,)
-        np.add(src[first], src[second], out=out[first])
-        np.subtract(src[first], src[second], out=out[second])
-        src = out
-    src *= 0.25
-    return src.reshape(d, d)
+    rows = np.empty_like(src)
+    np.add(src[0], src[1, :, ::-1], out=rows[0])
+    np.subtract(src[0], src[1, :, ::-1], out=rows[1, :, ::-1])
+    out = np.empty_like(src)
+    first, second = rows[:, :, :, 0], rows[:, :, :, 1, :, ::-1]
+    np.add(first, second, out=out[:, :, :, 0])
+    np.subtract(first, second, out=out[:, :, :, 1, :, ::-1])
+    out *= 0.5
+    return out.reshape(d, d)
 
 
 def _components(adj: np.ndarray) -> np.ndarray:
@@ -145,20 +143,15 @@ def _components(adj: np.ndarray) -> np.ndarray:
 
 
 def _split(h: np.ndarray, rho0: np.ndarray):
-    """(h, rho0, component labels, x frame?) in the frame propagation runs in:
-    the x frame when it splits an h that the plain frame leaves whole."""
-    mag = np.abs(h)
-    tiny = 4 * np.finfo(float).eps * mag.max()
-    if h.shape != rho0.shape or not np.isfinite(tiny):
+    """(h, rho0, component labels, Bell frame?) in the frame propagation runs
+    in: the Bell frame when the plain frame leaves h as one block."""
+    if h.shape != rho0.shape or not np.isfinite(h).all():
         raise ValueError("h must be a finite matrix of the shape of rho0")
-    label = _components(mag > tiny)
+    label = _components(h != 0)
     if label.any():
         return h, rho0, label, False
-    h_x = _x_frame(h)
-    label_x = _components(np.abs(h_x) > tiny)
-    if label_x.any():
-        return h_x, _x_frame(rho0), label_x, True
-    return h, rho0, label, False
+    h = _bell_frame(h)
+    return h, _bell_frame(rho0), _components(h != 0), True
 
 
 def _support(idx: np.ndarray):
@@ -221,9 +214,9 @@ def evolve_exact(h: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
 
     ``h`` must be Hermitian and ``rho0`` a density matrix (both within the
     structural tolerance); ``times`` must increase from 0. ``h`` is split into
-    the connected components of its nonzero pattern, in the x frame when that
-    splits an ``h`` the plain frame leaves whole (see the module docstring),
-    and each component of more than one index is diagonalized on its own.
+    the connected components of its nonzero pattern, in the Bell frame when
+    the plain frame leaves ``h`` as one block (see the module docstring), and
+    each component of more than one index is diagonalized on its own.
     Reduced and sector-resolved variables are read out of the eigenbasis for
     all times at once: each of the 10 independent theta = 0 sector entries
     (r, c) is eff[r, c](t) = sum_b (Ph M_rc)[t, b] conj(Ph)[t, b] with the
@@ -239,11 +232,11 @@ def evolve_exact(h: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     if not is_density(rho0, STRUCTURAL_TOL):
         raise ValueError("initial state must be a density matrix")
-    if times.ndim != 1 or times.size == 0 or abs(times[0]) > 1e-12 \
-            or np.any(np.diff(times) <= 0):
+    if times.ndim != 1 or times.size == 0 or not abs(times[0]) <= 1e-12 \
+            or not np.all(np.diff(times) > 0):
         raise ValueError("times must increase from 0")
 
-    h, rho0, label, x_frame = _split(h, rho0)
+    h, rho0, label, bell_frame = _split(h, rho0)
     w, v, rho_e, spans = _block_eigen(h, rho0, label)
 
     n2 = v.shape[0] // 2
@@ -271,8 +264,8 @@ def evolve_exact(h: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
             entry = np.einsum('tb,tb->t', phm, ph[:, b])
             eff0[:, c, r] = entry.real if r == c else entry
             eff0[:, r, c] = eff0[:, c, r].conj()
-    if x_frame:
-        eff0 = _U4 @ eff0 @ _U4
+    if bell_frame:
+        eff0 = _BELL @ eff0 @ _BELL / 2
     return Trajectory(times=times, states=eff0,
                       system_states=reduced_from_sector(eff0))
 

@@ -130,6 +130,37 @@ def choi_oracle(s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# conserved quantities of the composite dynamics (composite index
+# m * 2N + n * 2 + i for system m, level n and branch i)
+
+#: Phi+ = (|0, branch 1> + |1, branch 2>) / sqrt(2) on the effective space
+#: (index 2 * m + i)
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def phi_plus_projector(n_levels: int) -> np.ndarray:
+    """|Phi+><Phi+| (x) I_N on the composite space (4N x 4N). Phi+ (x) C^N is
+    invariant under the Hamiltonian at every xi: both channels' ladders and
+    their adjoints annihilate Phi+, so H = H0 on it."""
+    phi = PHI_PLUS.reshape(2, 2)                 # [system, branch]
+    p = np.einsum('li,mk,np->lnimpk', phi, phi, np.eye(n_levels))
+    return p.reshape(4 * n_levels, 4 * n_levels).astype(complex)
+
+
+def conserved_charge(n_levels: int) -> np.ndarray:
+    """System inversion plus environment branch parity (4N x 4N):
+    (|1><1| - |0><0|) (x) I_2N + I_2 (x) I_N (x) (P2 - P1).
+
+    It commutes with the branch channel, so at xi = 0 it commutes with the
+    full Hamiltonian and its expectation is constant along exact trajectories.
+    """
+    inversion = np.diag([-1.0, 1.0])
+    parity = np.kron(np.eye(n_levels), np.diag([-1.0, 1.0]))
+    return (np.kron(inversion, np.eye(2 * n_levels))
+            + np.kron(np.eye(2), parity)).astype(complex)
+
+
+# ---------------------------------------------------------------------------
 # exact coupling average of the second-order TCL generator
 #
 # composite conventions (restated): basis index m * 2N + n * 2 + i for system

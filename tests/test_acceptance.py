@@ -21,10 +21,10 @@ from ecps import (ModelParams, apply_superop, build_hamiltonian, choi_matrix,
                   ensemble_average, evolve_exact, initial_state,
                   projector_superop, sample_couplings, scan_delta,
                   sector_variables, singular_values, solve_tcl, steady_state,
-                  tcl_generator, EcpsComponent, reduced_from_sector,
-                  conserved_charge, build_v)
-from oracles import (choi_oracle, rate_table_generator, rk4_von_neumann,
-                     sector_projector, tcl2_wick_generator, wick_scalar)
+                  tcl_generator, EcpsComponent, reduced_from_sector, build_v)
+from oracles import (choi_oracle, conserved_charge, rate_table_generator,
+                     rk4_von_neumann, sector_projector, tcl2_wick_generator,
+                     wick_scalar)
 
 PI4 = np.pi / 4
 
@@ -102,7 +102,7 @@ def _compare_run(params, sys0, env_spec, thetas):
     h = build_hamiltonian(params, sample_couplings(params))
     rho0 = initial_state(sys0, env_spec, params)
     exact = evolve_exact(h, rho0, times)
-    eff0 = sector_variables(rho0, 0.0)
+    eff0 = sector_variables(rho0)
     sols = {}
     for th in thetas:
         k = tcl_generator(th, params.xi, lam)
@@ -177,8 +177,8 @@ def test_criterion_4_steady_state_experiment():
     exact_mix = ensemble_average(params, 4, run_mixture)
     pops_exact = np.diag(exact_mix.system_states[-1]).real
 
-    eff_pop = sector_variables(initial_state(rho_pop, "maximally_mixed", params), 0.0)
-    eff_coh = sector_variables(initial_state(rho_coh, "plus_projector", params), 0.0)
+    eff_pop = sector_variables(initial_state(rho_pop, "maximally_mixed", params))
+    eff_coh = sector_variables(initial_state(rho_coh, "plus_projector", params))
     k4 = tcl_generator(PI4, 0.0, lam)
     full = p1_weight * eff_pop + (1 - p1_weight) * eff_coh
     cps = reduced_from_sector(
@@ -245,7 +245,7 @@ def test_criterion_5_property_suites():
     h = build_hamiltonian(p, sample_couplings(p))
     rho0 = initial_state(np.diag([1.0, 0.0]).astype(complex),
                          ("branch_projector", 0.4, 1), p)
-    charge = conserved_charge(p)
+    charge = conserved_charge(p.n_levels)
     from ecps import eig_hermitian
     w, v = eig_hermitian(h)
     rho_e = v.conj().T @ rho0 @ v
@@ -268,7 +268,7 @@ def test_criterion_5_property_suites():
     traj = evolve_exact(h2, rho2, np.array([0.0, 2.0]))
     rho_rk4 = rk4_von_neumann(h2, rho2, 2.0, 1e-3)
     checks["rk4 equivalence"] = np.abs(
-        traj.states[-1] - sector_variables(rho_rk4, 0.0)).max() <= 1e-6
+        traj.states[-1] - sector_variables(rho_rk4)).max() <= 1e-6
 
     # choi round trip
     s = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import ecps.exact
-from ecps import (ModelParams, build_hamiltonian, conserved_charge,
-                  eig_hermitian, ensemble_average, evolve_exact, initial_state,
+from ecps import (ModelParams, build_hamiltonian, eig_hermitian,
+                  ensemble_average, evolve_exact, initial_state,
                   reduced_from_sector, sample_couplings, sector_variables)
-from oracles import (SECTOR_THETAS, evolve_exact_dense, partial_trace,
+from oracles import (PHI_PLUS, SECTOR_THETAS, conserved_charge,
+                     evolve_exact_dense, partial_trace, phi_plus_projector,
                      rk4_von_neumann, rotate_sector)
 
 PI4 = np.pi / 4
@@ -32,7 +33,7 @@ class TestSectorVariables:
         theta = 0.42
         rho = initial_state(np.diag([1.0, 0.0]).astype(complex),
                             ("branch_projector", theta, 1), p)
-        eff = sector_variables(rho, theta)
+        eff = rotate_sector(sector_variables(rho), theta)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0  # (system 0, first rotated branch)
         assert np.abs(eff - expected).max() <= 1e-12
@@ -42,7 +43,7 @@ class TestSectorVariables:
         p = params(n_levels=6)
         rho = initial_state(np.diag([1.0, 0.0]).astype(complex),
                             "maximally_mixed", p)
-        eff = sector_variables(rho, theta)
+        eff = rotate_sector(sector_variables(rho), theta)
         expected = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         assert np.abs(eff - expected).max() <= 1e-12
 
@@ -53,14 +54,14 @@ class TestSectorVariables:
         rho = m @ m.conj().T
         rho /= np.trace(rho)
         for theta in (0.0, 0.2, PI4):
-            eff = sector_variables(rho, theta)
+            eff = rotate_sector(sector_variables(rho), theta)
             assert abs(np.trace(eff) - np.trace(rho)) <= 1e-12
             assert np.abs(eff - eff.conj().T).max() <= 1e-12
 
     def test_reduction_matches_partial_trace(self):
         p = params(n_levels=5)
         h, rho0 = setup(p)
-        eff = sector_variables(rho0, 0.27)
+        eff = rotate_sector(sector_variables(rho0), 0.27)
         direct = partial_trace(rho0, [2, 2 * p.n_levels], keep=0)
         assert np.abs(reduced_from_sector(eff) - direct).max() <= 1e-12
 
@@ -86,14 +87,14 @@ class TestEvolveExact:
         t_final = 2.0
         traj = evolve_exact(h, rho0, np.array([0.0, t_final]))
         rho_rk4 = rk4_von_neumann(h, rho0, t_final, dt=1e-3)
-        eff = sector_variables(rho_rk4, 0.0)
+        eff = sector_variables(rho_rk4)
         assert np.abs(traj.states[-1] - eff).max() <= 1e-6
         assert np.abs(traj.system_states[-1] - reduced_from_sector(eff)).max() <= 1e-6
 
     def test_conservation_laws(self):
         p = params(n_levels=4, xi=0.0, alpha=0.1)
         h, rho0 = setup(p, env=("branch_projector", 0.4, 1))
-        charge = conserved_charge(p)
+        charge = conserved_charge(p.n_levels)
         w, v = eig_hermitian(h)
         rho_e = v.conj().T @ rho0 @ v
         times = np.linspace(0, 40, 9)
@@ -113,6 +114,20 @@ class TestEvolveExact:
             # trajectory extraction agrees with the direct propagation
             sys_t = partial_trace(rho_t, [2, 2 * p.n_levels], keep=0)
             assert np.abs(traj.system_states[k] - sys_t).max() <= 1e-10
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 3, 60])
+    def test_conserves_phi_plus_population(self, n_levels, xi):
+        # Phi+ (x) C^N is invariant under H at every xi (the subspace the
+        # Bell frame splits off), so <Phi+|eff|Phi+> is constant
+        p = params(n_levels=n_levels, xi=xi, alpha=0.3)
+        h, rho0 = setup(p, sys=np.array([[0.6, 0.2 + 0.3j], [0.2 - 0.3j, 0.4]]),
+                        env="plus_projector")
+        traj = evolve_exact(h, rho0, np.linspace(0, 40, 9))
+        pop = np.einsum('i,tij,j->t', PHI_PLUS, traj.states, PHI_PLUS)
+        expected = np.trace(phi_plus_projector(n_levels) @ rho0)
+        assert abs(expected - 0.35) <= 1e-12
+        assert np.abs(pop - expected).max() <= 1e-12
 
     def test_reduced_states_stay_physical(self):
         p = params(alpha=0.08)
@@ -134,6 +149,9 @@ class TestEvolveExact:
             evolve_exact(h, rho0, [1.0, 2.0])
         with pytest.raises(ValueError):
             evolve_exact(h, rho0, [0.0, 2.0, 1.0])
+        for times in ([0.0, np.nan], [np.nan], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                evolve_exact(h, rho0, times)
         with pytest.raises(ValueError):
             evolve_exact(h[:-4, :-4], rho0, [0.0, 1.0])
         for bad in (np.nan, np.inf):
@@ -201,16 +219,27 @@ class TestBlocks:
         return (0.5 * initial_state(mixed, "maximally_mixed", p)
                 + 0.5 * initial_state(coherent, "plus_projector", p))
 
-    # at xi = 1 every draw but (1, 0) leaves 2-14 entries of rounding residue
-    # (below 4 eps max|h|) where the x frame of h has exact zeros
+    # blocks of h in units of N: at xi = 0 in the plain frame, otherwise in
+    # the Bell frame, where Phi+ (x) C^N splits off as N singletons
+    BLOCKS = [(0.0, [2]), (1.0, [2]), (0.5, [3]), (0.3, [3]), (0.9, [3])]
+
     @pytest.mark.parametrize("n_levels, seed", [(1, 0), (1, 10), (2, 1), (3, 5),
                                                 (7, 6), (30, 0)])
-    @pytest.mark.parametrize("xi, blocks", [(0.0, [2]), (1.0, [2]), (0.5, [4])])
+    @pytest.mark.parametrize("xi, blocks", BLOCKS)
     def test_block_sizes(self, monkeypatch, n_levels, seed, xi, blocks):
         p = params(n_levels=n_levels, xi=xi, alpha=0.3, seed=seed)
         h, rho0 = setup(p)
         sizes, _ = self._block_sizes(monkeypatch, h, rho0)
         assert sizes == [b * n_levels for b in blocks]
+
+    @pytest.mark.parametrize("xi, blocks", BLOCKS)
+    def test_block_sizes_weak_coupling(self, monkeypatch, xi, blocks):
+        # the shipped coupling strength: the same pattern, read off exact
+        # zeros however small alpha * v is against H0
+        p = params(n_levels=60, xi=xi, alpha=0.005, seed=3)
+        h, rho0 = setup(p)
+        sizes, _ = self._block_sizes(monkeypatch, h, rho0)
+        assert sizes == [b * 60 for b in blocks]
 
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     def test_decoupled_needs_no_eigh(self, monkeypatch, xi):
@@ -220,14 +249,14 @@ class TestBlocks:
         assert sizes == []
         assert np.abs(traj.system_states - traj.system_states[0]).max() <= 1e-15
 
-    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    @pytest.mark.parametrize("xi", [0.0, 1.0, 0.5])
     def test_large_band_matches_dense_reference(self, monkeypatch, xi):
         p = ModelParams(n_levels=120, delta_eps=0.5, alpha=0.005, xi=xi, seed=4242)
         h = build_hamiltonian(p, sample_couplings(p))
         rho0 = self._steady_rho0(p)
         times = np.array([0.0, 50.0 / p.relaxation_rate])
         sizes, traj = self._block_sizes(monkeypatch, h, rho0, times)
-        assert sizes == [240]
+        assert sizes == [360 if 0 < xi < 1 else 240]
         system, sectors = evolve_exact_dense(h, rho0, times, SECTOR_THETAS)
         assert np.abs(traj.system_states - system).max() <= 1e-12
         for th in SECTOR_THETAS:
@@ -236,7 +265,7 @@ class TestBlocks:
     @pytest.mark.parametrize("xi", [0.0, 1.0])
     def test_rejects_non_hermitian_singleton(self, xi):
         # at xi = 0 index 0 is |0,1,1>, which sees only H0; at xi = 1 the
-        # perturbation lands on the x-frame singletons and the block alike
+        # perturbation lands on Phi+ and Phi- of level 1 in the Bell frame
         p = params(n_levels=3, xi=xi)
         h, rho0 = setup(p)
         h[0, 0] += 1e-3j

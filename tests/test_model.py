@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ecps import (ModelParams, build_h0, build_hamiltonian, build_projector,
-                  build_v, conserved_charge, initial_state, is_density,
-                  is_hermitian, sample_couplings)
+from ecps import (ModelParams, build_hamiltonian, build_projector, build_v,
+                  initial_state, is_density, is_hermitian, sample_couplings)
 from ecps.model import PAULI_Z
-from oracles import build_v_kron
+from oracles import build_v_kron, conserved_charge, phi_plus_projector
 
 
 def params(**kw):
@@ -58,15 +59,23 @@ class TestCouplings:
         assert abs(np.mean(c)) <= 0.02
 
 
+def build_h0(p):
+    """The free Hamiltonian: build_hamiltonian with the coupling switched off."""
+    p0 = replace(p, alpha=0.0)
+    return build_hamiltonian(p0, sample_couplings(p0))
+
+
 class TestHamiltonians:
     def test_h0_single_level(self):
         p = params(n_levels=1)
         h0 = build_h0(p)
-        assert np.allclose(np.diag(h0), p.delta_eps)
+        assert np.allclose(h0, p.delta_eps * np.eye(4))
 
     def test_h0_two_levels(self):
         p = params(n_levels=2, delta_eps=0.5)
-        energies = np.diag(build_h0(p)).real
+        h0 = build_h0(p)
+        assert np.abs(h0 - np.diag(np.diag(h0))).max() == 0.0
+        energies = np.diag(h0).real
         assert sorted(set(np.round(energies, 12))) == [0.25, 0.5]
         assert np.sum(np.isclose(energies, 0.25)) == 4
         assert np.sum(np.isclose(energies, 0.5)) == 4
@@ -107,10 +116,18 @@ class TestHamiltonians:
     def test_branch_channel_conserves_charge(self):
         p = params(xi=0.0)
         v1, _ = build_v(p, sample_couplings(p))
-        charge = conserved_charge(p)
+        charge = conserved_charge(p.n_levels)
         assert np.abs(v1 @ charge - charge @ v1).max() <= 1e-12
         h = build_hamiltonian(p, sample_couplings(p))
         assert np.abs(h @ charge - charge @ h).max() <= 1e-12
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 3, 60])
+    def test_phi_plus_subspace_is_invariant(self, n_levels, xi):
+        p = params(n_levels=n_levels, xi=xi, alpha=0.3)
+        h = build_hamiltonian(p, sample_couplings(p))
+        proj = phi_plus_projector(n_levels)
+        assert np.abs(h @ proj - proj @ h).max() <= 1e-15
 
     def test_channel_commutator_vanishes_on_average(self):
         p = params(n_levels=10, xi=0.5, alpha=1.0)
