@@ -89,33 +89,32 @@ def _initial_pieces(cfg: dict):
 
 
 def _initial_states(pieces, params):
-    """Composite initial state and the effective 4x4 state of each piece:
-    (rho0, [(weight, effective state, theta-or-None), ...]). Both depend on
-    the model only through N, so one call serves every realization."""
-    states = [(w, initial_state(sysm, env, params), th)
-              for w, sysm, env, th in pieces]
-    rho0 = sum(w * state for w, state, _ in states)
-    return rho0, [(w, sector_variables(state), th) for w, state, th in states]
+    """Effective 4x4 initial state and the effective state of each piece:
+    (eff0, [(weight, effective state, theta-or-None), ...]). Every piece is
+    level-uniform, so eff0 fixes the composite initial state eff0 (x) I_N / N
+    that ``evolve_exact`` propagates; one call serves every realization."""
+    effs = [(w, sector_variables(initial_state(sysm, env, params)), th)
+            for w, sysm, env, th in pieces]
+    return sum(w * eff for w, eff, _ in effs), effs
 
 
 def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> list[Path]:
     params = model_params(cfg)
     n_real = int(realizations if realizations is not None else cfg.get("realizations", 1))
     times = time_grid(cfg, params)
-    rho0, effs = _initial_states(_initial_pieces(cfg), params)
+    eff0, effs = _initial_states(_initial_pieces(cfg), params)
     lam = params.relaxation_rate
 
     def run_one(p):
-        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), rho0, times)
+        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0, times)
 
     exact = ensemble_average(params, n_real, run_one)
 
-    rho0_eff = sum(w * eff for w, eff, _ in effs)
     thetas = [float(t) for t in cfg.get("projectors", [0.0, np.pi / 4])]
     tcl_curves = {}
     for th in thetas:
         k = tcl_generator(th, params.xi, lam)
-        projected = apply_superop(projector_superop(th), rho0_eff)
+        projected = apply_superop(projector_superop(th), eff0)
         tcl_curves[th] = solve_tcl(k, projected, times, th)
 
     ecps_curve = None
@@ -196,17 +195,16 @@ def run_steady_state(cfg: dict, out_dir: Path, realizations: int | None = None) 
 
     rho_pop = np.diag([p_exc, 1.0 - p_exc]).astype(complex)
     rho_coh = 0.5 * np.array([[1.0, coh], [np.conj(coh), 1.0]], dtype=complex)
-    rho0, effs = _initial_states([(p1, rho_pop, "maximally_mixed", 0.0),
+    eff0, effs = _initial_states([(p1, rho_pop, "maximally_mixed", 0.0),
                                   (1.0 - p1, rho_coh, "plus_projector", pi4)],
                                  params)
 
     def run_one(p):
-        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), rho0,
+        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0,
                             np.array([0.0, t_inf]))
 
     exact = ensemble_average(params, n_real, run_one).system_states[-1]
 
-    eff0 = sum(w * eff for w, eff, _ in effs)
     k4 = tcl_generator(pi4, params.xi, lam)
     cps = steady_state(k4, apply_superop(projector_superop(pi4), eff0), pi4)
     cps_sys = reduced_from_sector(cps)

@@ -37,20 +37,28 @@ unscaled butterflies and one exact halving, so the pattern is read off
 exact zeros; an h that the Bell frame does not split is propagated as one
 block. Sector variables are covariant under W: eff(rho) = U4 eff(W rho W) U4.
 
+Initial state: the experiments start from states in the range of the
+correlated projection, rho0 = sum_i rho_i (x) Pi_i / N_i, which are uniform
+over the levels: rho0 = eff0 (x) I_N / N, i.e. rho0[(l,n,j),(m,n',k)] =
+eff0[2l + j, 2m + k] delta_nn' / N. So eff0 fixes rho0, and ``evolve_exact``
+takes eff0 (U4 eff0 U4 in the Bell frame).
+
 Readout in the eigenbasis: the composite index of |l, n, j> is l*2N + 2n + j,
-so the N rows of V for the system/branch pair r = 2l + j form an N x 4N block
-A_r. With rho_e = V^dagger rho0 V and phases ph_a(t) = exp(-i w_a t), the
-theta = 0 entries at every time are
+so the N rows of V for the pair r = 2l + j form an N x 4N block A_r. With the
+Gram blocks K_rc = A_r^T conj(A_c) (K_cr = K_rc^dagger) and the phases
+ph_a(t) = exp(-i w_a t), the theta = 0 entries at every time are
 
     eff[r, c](t) = sum_ab ph_a(t) M_rc[a, b] conj(ph_b(t)),
-    M_rc = (A_r^T conj(A_c)) * rho_e      (elementwise product),
+    M_rc = K_rc * rho_e      (elementwise product),
+    rho_e = V^dagger rho0 V = (1/N) sum_rc eff0[r, c] conj(K_rc),
 
-so rho(t) itself is never formed. Hermiticity (M_cr = M_rc^dagger) leaves
-only the 10 entries with r <= c to compute. The eigen-columns are ordered
-component by component, grouped by the pairs r their support touches, so
-each A_r is nonzero only on one contiguous range of columns (at xi = 0: N
-singletons for r = 0, the 2N block for r = 1, 2, N singletons for r = 3),
-and M_rc and the phases are restricted to the ranges of r and c.
+so neither rho0, nor rho_e by a matrix product, nor rho(t) is ever formed.
+Hermiticity (M_cr = M_rc^dagger) leaves the 10 entries with r <= c. The
+eigen-columns are ordered component by component, grouped by the pairs r
+their support touches, so each A_r is nonzero on one contiguous range of
+columns (at xi = 0: N singletons for r = 0, the 2N block for r = 1, 2, N
+singletons for r = 3), and K_rc, rho_e and the phases are needed only on the
+ranges of r and c.
 """
 from __future__ import annotations
 
@@ -108,16 +116,17 @@ def _bell_frame(m: np.ndarray) -> np.ndarray:
     Unscaled butterflies over the pair r = 2l + j of the rows and then of the
     columns: pair (0, j) meets pair (1, 1 - j), the sum goes to (0, j) and the
     difference to (1, 1 - j). One exact halving follows, so entries that
-    cancel exactly come out as exact zeros."""
+    cancel exactly come out as exact zeros. The column pass runs in the
+    buffer of the row pass, with a copy of one half of it."""
     d = m.shape[0]
     src = m.reshape(2, d // 4, 2, 2, d // 4, 2)
-    rows = np.empty_like(src)
-    np.add(src[0], src[1, :, ::-1], out=rows[0])
-    np.subtract(src[0], src[1, :, ::-1], out=rows[1, :, ::-1])
     out = np.empty_like(src)
-    first, second = rows[:, :, :, 0], rows[:, :, :, 1, :, ::-1]
-    np.add(first, second, out=out[:, :, :, 0])
-    np.subtract(first, second, out=out[:, :, :, 1, :, ::-1])
+    np.add(src[0], src[1, :, ::-1], out=out[0])
+    np.subtract(src[0], src[1, :, ::-1], out=out[1, :, ::-1])
+    first, second = out[:, :, :, 0], out[:, :, :, 1, :, ::-1]
+    saved = first.copy()
+    first += second
+    np.subtract(saved, second, out=second)
     out *= 0.5
     return out.reshape(d, d)
 
@@ -142,28 +151,23 @@ def _components(adj: np.ndarray) -> np.ndarray:
     return label
 
 
-def _split(h: np.ndarray, rho0: np.ndarray):
-    """(h, rho0, component labels, Bell frame?) in the frame propagation runs
-    in: the Bell frame when the plain frame leaves h as one block."""
-    if h.shape != rho0.shape or not np.isfinite(h).all():
-        raise ValueError("h must be a finite matrix of the shape of rho0")
+def _split(h: np.ndarray):
+    """(h, component labels, Bell frame?) in the frame propagation runs in:
+    the Bell frame when the plain frame leaves h as one block."""
+    d = h.shape[0] if h.ndim == 2 else 0
+    if h.shape != (d, d) or d == 0 or d % 4 or not np.isfinite(h).all():
+        raise ValueError("h must be a finite 4N x 4N matrix")
     label = _components(h != 0)
     if label.any():
-        return h, rho0, label, False
+        return h, label, False
     h = _bell_frame(h)
-    return h, _bell_frame(rho0), _components(h != 0), True
+    return h, _components(h != 0), True
 
 
-def _support(idx: np.ndarray):
-    """``idx`` (ascending) as a slice when it is a contiguous range, so that
-    indexing with it gives a view instead of a copy."""
-    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == idx.size - 1 else idx
+def _block_eigen(h: np.ndarray, label: np.ndarray):
+    """Eigenpairs of h component by component.
 
-
-def _block_eigen(h: np.ndarray, rho0: np.ndarray, label: np.ndarray):
-    """Eigenpairs of h component by component and rho_e = V^dagger rho0 V.
-
-    Returns (w, v, rho_e, spans). The eigen-columns are ordered component by
+    Returns (w, v, spans). The eigen-columns are ordered component by
     component, sorted by the set of pairs r = 2l + j (a bit mask) that the
     component's support touches, and spans[r] is the range of columns where
     the rows of pair r can be nonzero.
@@ -188,86 +192,79 @@ def _block_eigen(h: np.ndarray, rho0: np.ndarray, label: np.ndarray):
         raise ValueError("evolve_exact requires a Hermitian matrix")
     w[single] = diag.real
     v[one, single] = 1.0
-    blocks = [(_support(cols[a:b]), slice(a, b))
-              for a, b in zip(starts, ends) if b - a > 1]
+    blocks = [(cols[a:b], slice(a, b)) for a, b in zip(starts, ends) if b - a > 1]
     for sup, s in blocks:
         w[s], v[sup, s] = eig_hermitian(h[sup][:, sup])
-
-    x = np.empty_like(rho0)             # rho0 V
-    x[:, single] = rho0[:, one]
-    for sup, s in blocks:
-        x[:, s] = rho0[:, sup] @ v[sup, s]
-    rho_e = np.empty_like(rho0)
-    rho_e[single] = x[one]
-    for sup, s in blocks:
-        rho_e[s] = v[sup, s].conj().T @ x[sup]
-
-    spans = []
-    for r in range(4):
-        touched = np.flatnonzero(pairs & (1 << r))
-        spans.append(slice(touched[0], touched[-1] + 1))
-    return w, v, rho_e, spans
+    touched = [np.flatnonzero(pairs & (1 << r)) for r in range(4)]
+    return w, v, [slice(t[0], t[-1] + 1) for t in touched]
 
 
-def evolve_exact(h: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
-    """Evolve rho(t) = exp(-iHt) rho0 exp(+iHt) on the given time grid.
+def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> Trajectory:
+    """Evolve the level-uniform state rho0 = eff0 (x) I_N / N under ``h``,
+    rho(t) = exp(-iHt) rho0 exp(+iHt), on the given time grid.
 
-    ``h`` must be Hermitian and ``rho0`` a density matrix (both within the
-    structural tolerance); ``times`` must increase from 0. ``h`` is split into
-    the connected components of its nonzero pattern, in the Bell frame when
-    the plain frame leaves ``h`` as one block (see the module docstring), and
-    each component of more than one index is diagonalized on its own.
-    Reduced and sector-resolved variables are read out of the eigenbasis for
-    all times at once: each of the 10 independent theta = 0 sector entries
-    (r, c) is eff[r, c](t) = sum_b (Ph M_rc)[t, b] conj(Ph)[t, b] with the
-    phase matrix Ph[t, a] = exp(-i w_a t) and M_rc = (A_r^T conj(A_c)) * rho_e,
-    both restricted to the eigen-columns that pairs r and c touch. This is
-    exact at any spectrum, degenerate ones included. Hermiticity of ``h`` is
-    checked block by block (``eig_hermitian``) and on the diagonal of the
+    ``eff0`` is the 4 x 4 effective initial state and must be a density
+    matrix, ``h`` a Hermitian 4N x 4N matrix (both within the structural
+    tolerance); ``times`` must be finite and increase from 0. ``h`` is split
+    into the connected components of its nonzero pattern, in the Bell frame
+    when the plain frame leaves it as one block; each component of more than
+    one index is diagonalized on its own, and the sector variables are read
+    out of the eigenbasis for all times at once (see the module docstring),
+    exactly at any spectrum, degenerate ones included. Hermiticity of ``h``
+    is checked block by block (``eig_hermitian``) and on the diagonal of the
     1 x 1 blocks; the pattern is symmetrized, so a one-sided entry joins its
     two blocks and fails the block's check.
     """
     h = np.asarray(h, dtype=complex)
-    rho0 = np.asarray(rho0, dtype=complex)
+    eff0 = np.asarray(eff0, dtype=complex)
     times = np.asarray(times, dtype=float)
-    if not is_density(rho0, STRUCTURAL_TOL):
-        raise ValueError("initial state must be a density matrix")
+    if eff0.shape != (4, 4) or not is_density(eff0, STRUCTURAL_TOL):
+        raise ValueError("initial state must be a 4 x 4 density matrix")
     if times.ndim != 1 or times.size == 0 or not abs(times[0]) <= 1e-12 \
-            or not np.all(np.diff(times) > 0):
-        raise ValueError("times must increase from 0")
+            or not np.all(np.diff(times) > 0) or not np.isfinite(times).all():
+        raise ValueError("times must be finite and increase from 0")
 
-    h, rho0, label, bell_frame = _split(h, rho0)
-    w, v, rho_e, spans = _block_eigen(h, rho0, label)
-
+    h, label, bell_frame = _split(h)
+    if bell_frame:
+        eff0 = _BELL @ eff0 @ _BELL / 2
+    w, v, spans = _block_eigen(h, label)
+    del h
     n2 = v.shape[0] // 2
     rows = [v[l * n2 + j:(l + 1) * n2:2] for l in (0, 1) for j in (0, 1)]
+    pairs = [(r, c) for r in range(4) for c in range(r, 4)]
+    gram = [rows[r][:, spans[r]].T @ rows[c][:, spans[c]].conj()
+            for r, c in pairs]
+    del v, rows     # freed, like the Bell-frame h, before rho_e: lower peak RSS
+    # rho_e on the span rectangles, from K_rc and K_cr = K_rc^dagger
+    coef = eff0 / (n2 // 2)
+    rho_e = np.zeros((2 * n2, 2 * n2), dtype=complex)
+    for (r, c), k in zip(pairs, gram):
+        rho_e[spans[r], spans[c]] += coef[r, c] * k.conj()
+        if r != c:
+            rho_e[spans[c], spans[r]] += coef[c, r] * k.T
+    for (r, c), k in zip(pairs, gram):
+        k *= rho_e[spans[r], spans[c]]      # K_rc becomes M_rc
+    del rho_e
+
     ph = np.empty((times.size, w.size), dtype=complex)
     np.multiply(np.outer(times, w), -1j, out=ph)
     np.exp(ph, out=ph)
-    # M_rc and Ph M_rc reuse one buffer each, so at most one width^2 and one
-    # T x width temporary are alive at a time
+    # Ph M_rc reuses one buffer, so one T x width temporary is alive at a time
     width = max(s.stop - s.start for s in spans)
-    m_buf = np.empty(width * width, dtype=complex)
     phm_buf = np.empty(times.size * width, dtype=complex)
-    eff0 = np.empty((times.size, 4, 4), dtype=complex)
-    for r in range(4):
-        for c in range(r, 4):
-            a, b = spans[r], spans[c]
-            m = m_buf[:(a.stop - a.start) * (b.stop - b.start)]
-            m = m.reshape(a.stop - a.start, b.stop - b.start)
-            np.matmul(rows[r][:, a].T, rows[c][:, b].conj(), out=m)
-            m *= rho_e[a, b]
-            phm = phm_buf[:times.size * m.shape[1]].reshape(times.size, -1)
-            np.matmul(ph[:, a], m, out=phm)
-            np.conjugate(phm, out=phm)
-            # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
-            entry = np.einsum('tb,tb->t', phm, ph[:, b])
-            eff0[:, c, r] = entry.real if r == c else entry
-            eff0[:, r, c] = eff0[:, c, r].conj()
+    eff = np.empty((times.size, 4, 4), dtype=complex)
+    for (r, c), m in zip(pairs, gram):
+        phm = phm_buf[:times.size * m.shape[1]].reshape(times.size, -1)
+        np.matmul(ph[:, spans[r]], m, out=phm)
+        np.conjugate(phm, out=phm)
+        # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
+        entry = np.einsum('tb,tb->t', phm, ph[:, spans[c]])
+        eff[:, c, r] = entry.real if r == c else entry
+        eff[:, r, c] = eff[:, c, r].conj()
     if bell_frame:
-        eff0 = _BELL @ eff0 @ _BELL / 2
-    return Trajectory(times=times, states=eff0,
-                      system_states=reduced_from_sector(eff0))
+        eff = _BELL @ eff @ _BELL / 2
+    return Trajectory(times=times, states=eff,
+                      system_states=reduced_from_sector(eff))
 
 
 def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:

@@ -117,22 +117,24 @@ def build_v(params: ModelParams, couplings: CouplingSet):
     branch j; system m, branch k) slice of SIGMA_PLUS_X (x) B' is s_l t_k g
     with g = (i/4) c', and v2 adds the adjoint term s_m t_j g^dagger. Every
     slice is exactly +-(g + g^dagger) or +-(g - g^dagger), so the Bell-frame
-    transform in ``exact`` cancels v2 to exact zeros outside its blocks.
+    transform in ``exact`` cancels v2 to exact zeros outside its blocks. A
+    channel of weight 0 (v2 at xi = 0, v1 at xi = 1) is left unfilled.
     """
     n = params.n_levels
     v1 = np.zeros((4 * n, 4 * n), dtype=complex)
-    c = (1.0 - params.xi) * couplings.c
-    v1[2 * n::2, 1:2 * n:2] = c
-    v1[1:2 * n:2, 2 * n::2] = c.conj().T
-    g = 0.25j * params.xi * couplings.c_prime
-    plus, minus = g + g.conj().T, g - g.conj().T
-    s = (-1.0, 1.0)
-    t = (1.0, -1.0)
     # axes (l, n1, j, m, n2, k) of the composite row and column indices
-    v2 = np.empty((2, n, 2, 2, n, 2), dtype=complex)
-    for l, j, m, k in np.ndindex(2, 2, 2, 2):
-        a, b = s[l] * t[k], s[m] * t[j]
-        v2[l, :, j, m, :, k] = a * (plus if a == b else minus)
+    v2 = np.zeros((2, n, 2, 2, n, 2), dtype=complex)
+    if params.xi < 1:
+        c = (1.0 - params.xi) * couplings.c
+        v1[2 * n::2, 1:2 * n:2] = c
+        v1[1:2 * n:2, 2 * n::2] = c.conj().T
+    if params.xi > 0:
+        g = 0.25j * params.xi * couplings.c_prime
+        plus, minus = g + g.conj().T, g - g.conj().T
+        s, t = (-1.0, 1.0), (1.0, -1.0)
+        for l, j, m, k in np.ndindex(2, 2, 2, 2):
+            a, b = s[l] * t[k], s[m] * t[j]
+            v2[l, :, j, m, :, k] = a * (plus if a == b else minus)
     return v1, v2.reshape(4 * n, 4 * n)
 
 
@@ -145,9 +147,9 @@ def build_hamiltonian(params: ModelParams, couplings: CouplingSet) -> np.ndarray
     energy.
     """
     v1, v2 = build_v(params, couplings)
-    # a fresh sum, not v2 updated in place: at N = 120 reusing v2 cost
-    # ~1,800 more page faults per call in the calls that follow
-    h = v1 + v2
+    # a channel of weight 0 is not added (h is bit-identical to the sum); a
+    # fresh sum, not v2 updated in place, saves ~1,800 page faults at N = 120
+    h = v1 if params.xi == 0 else v2 if params.xi == 1 else v1 + v2
     h *= params.alpha
     energies = np.repeat(params.delta_eps * np.arange(1, params.n_levels + 1)
                          / params.n_levels, 2)

@@ -68,8 +68,8 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> Trajector
     """Propagate vec(rho(t)) = expm(K t) vec(rho0) on a uniform time grid,
     applying the step propagator expm(K dt) once per step.
 
-    ``times`` must be a uniform grid increasing from 0, or the single time
-    0; any other grid raises ValueError. ``rho0`` must already be
+    ``times`` must be a finite uniform grid increasing from 0, or the single
+    time 0; any other grid raises ValueError. ``rho0`` must already be
     invariant under the projector for ``theta`` (within HOMOGENEITY_TOL);
     otherwise a HomogeneityError signals a misconfigured homogeneous
     equation.
@@ -81,7 +81,8 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> Trajector
         raise ValueError("generator must be 16 x 16")
     if rho0.shape != (4, 4):
         raise ValueError("initial effective state must be 4 x 4")
-    if times.ndim != 1 or times.size == 0 or not abs(times[0]) <= 1e-12:
+    if times.ndim != 1 or times.size == 0 or not abs(times[0]) <= 1e-12 \
+            or not np.isfinite(times).all():
         raise ValueError("times must be a uniform grid increasing from 0")
     dts = np.diff(times)
     dt = dts[0] if dts.size else 0.0

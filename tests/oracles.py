@@ -63,6 +63,19 @@ def rk4_von_neumann(h: np.ndarray, rho0: np.ndarray, t_final: float,
     return rho
 
 
+def embed_level_uniform(eff0: np.ndarray, n_levels: int) -> np.ndarray:
+    """The level-uniform composite state eff0 (x) I_N / N: entry
+    [(l, n, j), (m, n', k)] = eff0[2l + j, 2m + k] delta_nn' / N at composite
+    index l*2N + 2n + j."""
+    n = int(n_levels)
+    rho = np.zeros((4 * n, 4 * n), dtype=complex)
+    for l, j, m, k in np.ndindex(2, 2, 2, 2):
+        for lvl in range(n):
+            rho[l * 2 * n + 2 * lvl + j, m * 2 * n + 2 * lvl + k] = \
+                eff0[2 * l + j, 2 * m + k] / n
+    return rho
+
+
 def evolve_exact_dense(h: np.ndarray, rho0: np.ndarray, times, thetas):
     """Exact sector readout by rebuilding the full 4N x 4N rho(t) per time.
 

@@ -252,8 +252,8 @@ class TestSteadyState:
 
 
 class TestInitialStateBuiltOnce:
-    """The composite initial state depends only on N: one build per piece of
-    the initial state, however many realizations run."""
+    """The initial state depends only on N: one build per piece of the
+    initial state, however many realizations run."""
 
     @staticmethod
     def _count_builds(monkeypatch, experiment, cfg_dict, tmp_path):

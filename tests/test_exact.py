@@ -6,8 +6,8 @@ from ecps import (ModelParams, build_hamiltonian, eig_hermitian,
                   ensemble_average, evolve_exact, initial_state,
                   reduced_from_sector, sample_couplings, sector_variables)
 from oracles import (PHI_PLUS, SECTOR_THETAS, conserved_charge,
-                     evolve_exact_dense, partial_trace, phi_plus_projector,
-                     rk4_von_neumann, rotate_sector)
+                     embed_level_uniform, evolve_exact_dense, partial_trace,
+                     phi_plus_projector, rk4_von_neumann, rotate_sector)
 
 PI4 = np.pi / 4
 
@@ -70,14 +70,14 @@ class TestEvolveExact:
     def test_initial_time_reduction(self):
         p = params()
         h, rho0 = setup(p)
-        traj = evolve_exact(h, rho0, np.linspace(0, 5, 7))
+        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 5, 7))
         direct = partial_trace(rho0, [2, 2 * p.n_levels], keep=0)
         assert np.abs(traj.system_states[0] - direct).max() <= 1e-12
 
     def test_decoupled_limit_is_constant(self):
         p = params(alpha=0.0)
         h, rho0 = setup(p, sys=np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))
-        traj = evolve_exact(h, rho0, np.linspace(0, 50, 9))
+        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 50, 9))
         spread = np.abs(traj.system_states - traj.system_states[0]).max()
         assert spread <= 1e-12
 
@@ -85,7 +85,7 @@ class TestEvolveExact:
         p = params(n_levels=2, alpha=0.2, seed=5)
         h, rho0 = setup(p)
         t_final = 2.0
-        traj = evolve_exact(h, rho0, np.array([0.0, t_final]))
+        traj = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
         rho_rk4 = rk4_von_neumann(h, rho0, t_final, dt=1e-3)
         eff = sector_variables(rho_rk4)
         assert np.abs(traj.states[-1] - eff).max() <= 1e-6
@@ -98,7 +98,7 @@ class TestEvolveExact:
         w, v = eig_hermitian(h)
         rho_e = v.conj().T @ rho0 @ v
         times = np.linspace(0, 40, 9)
-        traj = evolve_exact(h, rho0, times)
+        traj = evolve_exact(h, sector_variables(rho0), times)
         energy0 = np.trace(h @ rho0).real
         purity0 = np.trace(rho0 @ rho0).real
         charge0 = np.trace(charge @ rho0).real
@@ -123,7 +123,7 @@ class TestEvolveExact:
         p = params(n_levels=n_levels, xi=xi, alpha=0.3)
         h, rho0 = setup(p, sys=np.array([[0.6, 0.2 + 0.3j], [0.2 - 0.3j, 0.4]]),
                         env="plus_projector")
-        traj = evolve_exact(h, rho0, np.linspace(0, 40, 9))
+        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 40, 9))
         pop = np.einsum('i,tij,j->t', PHI_PLUS, traj.states, PHI_PLUS)
         expected = np.trace(phi_plus_projector(n_levels) @ rho0)
         assert abs(expected - 0.35) <= 1e-12
@@ -132,7 +132,7 @@ class TestEvolveExact:
     def test_reduced_states_stay_physical(self):
         p = params(alpha=0.08)
         h, rho0 = setup(p)
-        traj = evolve_exact(h, rho0, np.linspace(0, 60, 25))
+        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 60, 25))
         for rho_a in traj.system_states:
             assert abs(np.trace(rho_a) - 1.0) <= 1e-9
             assert np.abs(rho_a - rho_a.conj().T).max() <= 1e-9
@@ -140,25 +140,46 @@ class TestEvolveExact:
 
     def test_validates_inputs(self):
         p = params()
-        h, rho0 = setup(p)
+        h, rho0 = setup(p, sys=np.array([[0.6, 0.2], [0.2, 0.4]]))
+        eff0 = sector_variables(rho0)
         with pytest.raises(ValueError):
-            evolve_exact(h + 1j * np.eye(h.shape[0]), rho0, [0.0, 1.0])
-        with pytest.raises(ValueError):
-            evolve_exact(h, rho0 * 2, [0.0, 1.0])
-        with pytest.raises(ValueError):
-            evolve_exact(h, rho0, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            evolve_exact(h, rho0, [0.0, 2.0, 1.0])
-        for times in ([0.0, np.nan], [np.nan], [np.nan, 1.0]):
+            evolve_exact(h + 1j * np.eye(h.shape[0]), eff0, [0.0, 1.0])
+        non_hermitian = eff0.copy()
+        non_hermitian[0, 2] += 1e-3
+        # trace 2, not Hermitian, and the (valid) composite state itself
+        for bad in (eff0 * 2, non_hermitian, rho0):
             with pytest.raises(ValueError):
-                evolve_exact(h, rho0, times)
+                evolve_exact(h, bad, [0.0, 1.0])
         with pytest.raises(ValueError):
-            evolve_exact(h[:-4, :-4], rho0, [0.0, 1.0])
+            evolve_exact(h, eff0, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            evolve_exact(h, eff0, [0.0, 2.0, 1.0])
+        for times in ([0.0, np.nan], [np.nan], [np.nan, 1.0],
+                      [0.0, np.inf], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError):
+                evolve_exact(h, eff0, times)
+        for bad_h in (h[:-1, :-1], h[:, :-4], h[0], np.zeros((0, 0))):
+            with pytest.raises(ValueError):
+                evolve_exact(bad_h, eff0, [0.0, 1.0])
         for bad in (np.nan, np.inf):
             h_bad = h.copy()
             h_bad[0, 1] = h_bad[1, 0] = bad
             with pytest.raises(ValueError):
-                evolve_exact(h_bad, rho0, [0.0, 1.0])
+                evolve_exact(h_bad, eff0, [0.0, 1.0])
+
+    def test_checks_only_the_effective_state(self, monkeypatch):
+        shapes = []
+        original = ecps.exact.is_density
+
+        def recording(m, *args):
+            shapes.append(np.shape(m))
+            return original(m, *args)
+
+        monkeypatch.setattr(ecps.exact, "is_density", recording)
+        for xi in (0.0, 0.5, 1.0):
+            h, rho0 = setup(params(n_levels=5, xi=xi))
+            evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
+        assert shapes == [(4, 4)] * 3
 
 
 class TestEigenbasisReadout:
@@ -170,7 +191,7 @@ class TestEigenbasisReadout:
 
     def _check(self, p, env, times):
         h, rho0 = setup(p, sys=self.SYS, env=env)
-        traj = evolve_exact(h, rho0, times)
+        traj = evolve_exact(h, sector_variables(rho0), times)
         system, sectors = evolve_exact_dense(h, rho0, times, self.THETAS)
         assert traj.system_states.shape == (len(times), 2, 2)
         assert traj.states.shape == (len(times), 4, 4)
@@ -193,6 +214,29 @@ class TestEigenbasisReadout:
     def test_one_point_grid(self, env):
         self._check(params(n_levels=3), env, np.array([0.0]))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 3, 6])
+    def test_any_effective_initial_state(self, n_levels, xi, alpha):
+        # evolve_exact propagates eff0 (x) I_N / N for any 4 x 4 density
+        # eff0, inter-sector coherences and pure states included
+        p = params(n_levels=n_levels, xi=xi, alpha=alpha, seed=19)
+        h = build_hamiltonian(p, sample_couplings(p))
+        times = np.array([0.0, 0.1, 0.35, 2.0, 7.5, 40.0])
+        rng = np.random.default_rng(n_levels)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        for x in (m @ m.conj().T, np.outer(psi, psi.conj())):
+            eff0 = x / np.trace(x).real
+            traj = evolve_exact(h, eff0, times)
+            system, sectors = evolve_exact_dense(
+                h, embed_level_uniform(eff0, n_levels), times, self.THETAS)
+            assert np.abs(traj.states[0] - eff0).max() <= 1e-12
+            assert np.abs(traj.system_states - system).max() <= 1e-12
+            for th in self.THETAS:
+                assert np.abs(rotate_sector(traj.states, th)
+                              - sectors[th]).max() <= 1e-12
+
 
 class TestBlocks:
     """evolve_exact diagonalizes each connected block of h on its own."""
@@ -209,7 +253,7 @@ class TestBlocks:
             return original(m, *args)
 
         monkeypatch.setattr(ecps.exact, "eig_hermitian", recording)
-        traj = evolve_exact(h, rho0, np.asarray(times))
+        traj = evolve_exact(h, sector_variables(rho0), np.asarray(times))
         return sizes, traj
 
     def _steady_rho0(self, p):
@@ -270,7 +314,7 @@ class TestBlocks:
         h, rho0 = setup(p)
         h[0, 0] += 1e-3j
         with pytest.raises(ValueError):
-            evolve_exact(h, rho0, [0.0, 1.0])
+            evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
 
     @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 4)])
     def test_rejects_one_sided_off_block_entry(self, i, j):
@@ -281,22 +325,22 @@ class TestBlocks:
         assert h[i, j] == 0 and h[j, i] == 0
         h[i, j] = 1e-3
         with pytest.raises(ValueError):
-            evolve_exact(h, rho0, [0.0, 1.0])
+            evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
 
     def test_rejects_slightly_negative_initial_state(self):
         p = params(n_levels=3)
         h, _ = setup(p)
-        d = h.shape[0]
         rng = np.random.default_rng(5)
-        q, _ = np.linalg.qr(rng.standard_normal((d, d))
-                            + 1j * rng.standard_normal((d, d)))
-        lam = np.full(d, (1.0 + 1e-3) / (d - 1))
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        lam = np.full(4, (1.0 + 1e-3) / 3)
         lam[0] = -1e-3
-        rho0 = (q * lam) @ q.conj().T
-        rho0 = (rho0 + rho0.conj().T) / 2
-        assert abs(np.trace(rho0) - 1.0) <= 1e-12
+        eff0 = (q * lam) @ q.conj().T
+        eff0 = (eff0 + eff0.conj().T) / 2
+        assert abs(np.trace(eff0) - 1.0) <= 1e-12
+        assert abs(np.linalg.eigvalsh(eff0)[0] + 1e-3) <= 1e-12
         with pytest.raises(ValueError):
-            evolve_exact(h, rho0, [0.0, 1.0])
+            evolve_exact(h, eff0, [0.0, 1.0])
 
 
 class TestEnsembleAverage:
@@ -304,7 +348,7 @@ class TestEnsembleAverage:
     def _runner(env=("branch_projector", 0.0, 1), times=np.linspace(0, 10, 5)):
         def run_one(p):
             h, rho0 = setup(p, env=env)
-            return evolve_exact(h, rho0, times)
+            return evolve_exact(h, sector_variables(rho0), times)
         return run_one
 
     def test_single_realization_identity(self):
@@ -341,6 +385,6 @@ class TestEnsembleAverage:
         for k in range(8):
             q = p.with_seed(1000 + k)
             h, rho0 = setup(q, env=("branch_projector", theta0, 1))
-            traj = evolve_exact(h, rho0, np.array([0.0, t_final]))
+            traj = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
             finals.append(traj.system_states[-1, 0, 0].real)
         assert np.std(finals, ddof=1) <= 0.03

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ecps import (ModelParams, build_hamiltonian, build_projector, build_v,
-                  initial_state, is_density, is_hermitian, sample_couplings)
+                  initial_state, is_density, is_hermitian, sample_couplings,
+                  sector_variables)
 from ecps.model import PAULI_Z
-from oracles import build_v_kron, conserved_charge, phi_plus_projector
+from oracles import (build_v_kron, conserved_charge, embed_level_uniform,
+                     phi_plus_projector)
 
 
 def params(**kw):
@@ -191,6 +193,22 @@ class TestInitialState:
         rho = initial_state(np.diag([0.3, 0.7]).astype(complex), env, p)
         assert is_density(rho, 1e-10)
         assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("env", ["maximally_mixed", "plus_projector",
+                                     ("branch_projector", 0.0, 1),
+                                     ("branch_projector", 0.7, 2)])
+    @pytest.mark.parametrize("n_levels", [1, 3, 8])
+    def test_is_level_uniform(self, n_levels, env):
+        # every initial state is eff0 (x) I_N / N, so its 4 x 4 effective
+        # state fixes it: what evolve_exact takes as its initial state
+        p = params(n_levels=n_levels)
+        systems = [np.diag([1.0, 0.0]), np.diag([0.3, 0.7]),
+                   np.array([[0.36, 0.48], [0.48, 0.64]]),
+                   np.array([[0.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.5]])]
+        for sys in systems:
+            rho = initial_state(sys.astype(complex), env, p)
+            embedded = embed_level_uniform(sector_variables(rho), n_levels)
+            assert np.abs(rho - embedded).max() <= 1e-15
 
     def test_rejects_non_density(self):
         p = params()

@@ -66,7 +66,8 @@ class TestSolveTcl:
 
     @pytest.mark.parametrize("times", [[0.0, 0.1, 0.5, 2.0], [0.5, 1.0, 1.5],
                                        [0.0, -1.0, -2.0], [0.0, 0.0, 0.0], [],
-                                       [[0.0, 1.0]]])
+                                       [[0.0, 1.0]], [0.0, np.inf],
+                                       [0.0, 1.0, np.inf]])
     def test_rejects_other_than_uniform_grid_from_zero(self, times):
         k = tcl_generator(0.0, 0.2, 1.0)
         rho0 = project(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), 0.0)
