@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, SCHEMA_VERSION, environment_spec,
-                     load_config, model_params, system_matrix, time_grid)
+                     load_config, model_params, n_realizations, system_matrix,
+                     theta_tag, time_grid, with_overrides)
 from .exact import (ensemble_average, evolve_exact, realization_seeds,
                     reduced_from_sector, sector_variables)
 from .model import build_hamiltonian, initial_state, sample_couplings
@@ -38,7 +39,7 @@ RNG_ALGORITHM = "numpy Philox4x64-10 (counter-based), keyed via SeedSequence"
 
 
 def _fmt(x) -> str:
-    return "%.17g" % float(x)
+    return x if isinstance(x, str) else "%.17g" % float(x)
 
 
 def _write_csv(path: Path, header, rows):
@@ -71,10 +72,6 @@ def _write_metadata(out_dir: Path, cfg: dict, params, extra: dict):
         fh.write("\n")
 
 
-def _theta_tag(theta: float) -> str:
-    return f"{theta / np.pi:.4f}".replace(".", "p").replace("-", "m") + "pi"
-
-
 def _initial_pieces(cfg: dict):
     """List of (weight, system 2x2, env spec, theta-or-None) for the initial
     state; single-state configs give one entry with weight 1. The config
@@ -98,9 +95,9 @@ def _initial_states(pieces, params):
     return sum(w * eff for w, eff, _ in effs), effs
 
 
-def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> list[Path]:
+def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
     params = model_params(cfg)
-    n_real = int(realizations if realizations is not None else cfg.get("realizations", 1))
+    n_real = n_realizations(cfg)
     times = time_grid(cfg, params)
     eff0, effs = _initial_states(_initial_pieces(cfg), params)
     lam = params.relaxation_rate
@@ -129,7 +126,7 @@ def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> li
                exact.system_states[:, 0, 1].imag]
     column_map = {}
     for th in thetas:
-        tag = _theta_tag(th)
+        tag = theta_tag(th)
         column_map[f"tcl_{tag}"] = th
         sol = tcl_curves[th]
         header += [f"tcl_{tag}_rho00", f"tcl_{tag}_rho01_re", f"tcl_{tag}_rho01_im"]
@@ -158,7 +155,7 @@ def run_compare(cfg: dict, out_dir: Path, realizations: int | None = None) -> li
     return [csv_path, out_dir / "metadata.json", plot_path]
 
 
-def run_choi_scan(cfg: dict, out_dir: Path, realizations=None) -> list[Path]:
+def run_choi_scan(cfg: dict, out_dir: Path) -> list[Path]:
     params = model_params(cfg)
     section = cfg["choi_scan"]
     xi_values = [float(x) for x in section["xi_values"]]
@@ -182,14 +179,14 @@ def run_choi_scan(cfg: dict, out_dir: Path, realizations=None) -> list[Path]:
     return [scan_path, summary_path, out_dir / "metadata.json"]
 
 
-def run_steady_state(cfg: dict, out_dir: Path, realizations: int | None = None) -> list[Path]:
+def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     params = model_params(cfg)
     section = cfg["steady_state"]
     p1 = float(section["p1"])
     p_exc = float(section["p_excited"])
     coh = float(section["coherence"])
     t_inf = float(section.get("t_infinity_over_relaxation", 50.0)) / params.relaxation_rate
-    n_real = int(realizations if realizations is not None else cfg.get("realizations", 4))
+    n_real = n_realizations(cfg)
     lam = params.relaxation_rate
     pi4 = np.pi / 4
 
@@ -222,14 +219,10 @@ def run_steady_state(cfg: dict, out_dir: Path, realizations: int | None = None) 
     ex, cp, ec = parts(exact), parts(cps_sys), parts(ecps_sys)
     out_dir.mkdir(parents=True, exist_ok=True)
     steady_path = out_dir / "steady.csv"
-    with open(steady_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "exact", "cps_pi4", "ecps",
-                         "cps_abs_err", "ecps_abs_err"])
-        for i, label in enumerate(labels):
-            writer.writerow([label] + [_fmt(v) for v in
-                                       (ex[i], cp[i], ec[i],
-                                        abs(cp[i] - ex[i]), abs(ec[i] - ex[i]))])
+    _write_csv(steady_path, ["quantity", "exact", "cps_pi4", "ecps",
+                             "cps_abs_err", "ecps_abs_err"],
+               [(label, ex[i], cp[i], ec[i], abs(cp[i] - ex[i]), abs(ec[i] - ex[i]))
+                for i, label in enumerate(labels)])
     _write_metadata(out_dir, cfg, params, {
         "n_realizations": n_real,
         "realization_seeds": realization_seeds(params.seed, n_real),
@@ -289,9 +282,9 @@ print(here / "compare.png")
 '''
 
 
-def _seed_report(cfg: dict, seed_override, realizations) -> str:
-    params = model_params(cfg, seed_override)
-    n_real = int(realizations if realizations is not None else cfg.get("realizations", 1))
+def _seed_report(cfg: dict) -> str:
+    params = model_params(cfg)
+    n_real = n_realizations(cfg)
     lines = [
         f"algorithm: {RNG_ALGORITHM}",
         f"base seed: {params.seed}",
@@ -326,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = with_overrides(load_config(args.config), getattr(args, "seed", None),
+                             getattr(args, "realizations", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -335,7 +329,7 @@ def main(argv=None) -> int:
         print("config ok")
         return 0
     if args.command == "seed-report":
-        print(_seed_report(cfg, args.seed, args.realizations))
+        print(_seed_report(cfg))
         return 0
 
     if cfg["experiment"] != args.command:
@@ -343,14 +337,8 @@ def main(argv=None) -> int:
               f"{cfg['experiment']!r} but subcommand is {args.command!r}",
               file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = dict(cfg)
-        cfg["model"] = dict(cfg["model"], seed=int(args.seed))
     try:
-        files = _RUNNERS[args.command](cfg, Path(args.out), args.realizations)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        files = _RUNNERS[args.command](cfg, Path(args.out))
     except (HomogeneityError, DivergenceError) as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 3

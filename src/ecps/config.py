@@ -147,19 +147,36 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    errors = sorted(_VALIDATOR.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    _validate(raw)
+    return raw
+
+
+def with_overrides(cfg: dict, seed=None, realizations=None) -> dict:
+    """``cfg`` with the command-line overrides written in and validated like
+    the file, so the config echoed into the metadata re-runs the experiment."""
+    over = {"model": dict(cfg["model"], seed=seed)} if seed is not None else {}
+    if realizations is not None:
+        over["realizations"] = realizations
+    if over:
+        cfg = {**cfg, **over}
+        _validate(cfg)
+    return cfg
+
+
+def _validate(cfg: dict):
+    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]
         where = "$" + "".join(f"[{p!r}]" for p in first.absolute_path)
         raise ConfigError(f"config invalid at {where}: {first.message}")
-    _check_experiment_sections(raw)
-    return raw
+    _check_experiment_sections(cfg)
 
 
 def _check_experiment_sections(cfg: dict):
-    """What the schema cannot say: the sections each experiment needs, and
-    initial states the runners accept (density matrices, ECPS weights
-    summing to 1 within the solver's WEIGHT_TOL)."""
+    """What the schema cannot say: the sections each experiment needs, a
+    nonzero relaxation rate where times are set in its units, distinct TCL
+    column tags, and initial states the runners accept (density matrices,
+    ECPS weights summing to 1 within the solver's WEIGHT_TOL)."""
     kind = cfg["experiment"]
     if kind == "compare":
         has_init = "initial_state" in cfg
@@ -174,6 +191,13 @@ def _check_experiment_sections(cfg: dict):
     elif kind == "steady-state":
         if "steady_state" not in cfg:
             raise ConfigError("steady-state needs a 'steady_state' section")
+    if (kind == "steady-state" or kind == "compare" and "t_max" not in cfg.get(
+            "time_grid", {})) and model_params(cfg).relaxation_rate <= 0:
+        raise ConfigError(f"relaxation rate vanishes (alpha = 0), and {kind} sets its "
+                          "times in units of 1/rate; compare takes a time_grid.t_max")
+    tags = [theta_tag(theta) for theta in cfg.get("projectors", [])]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"projector angles must have distinct column tags, got {tags}")
     pieces = list(cfg.get("ecps", []))
     if "initial_state" in cfg:
         pieces.append(cfg["initial_state"])
@@ -190,11 +214,19 @@ def _check_experiment_sections(cfg: dict):
                               f"got {float(total)!r}")
 
 
-def model_params(cfg: dict, seed_override=None) -> ModelParams:
+def model_params(cfg: dict) -> ModelParams:
     m = cfg["model"]
-    seed = int(seed_override) if seed_override is not None else int(m["seed"])
     return ModelParams(n_levels=int(m["n_levels"]), delta_eps=float(m["delta_eps"]),
-                       alpha=float(m["alpha"]), xi=float(m["xi"]), seed=seed)
+                       alpha=float(m["alpha"]), xi=float(m["xi"]), seed=int(m["seed"]))
+
+
+def n_realizations(cfg: dict) -> int:
+    return int(cfg.get("realizations", 4 if cfg["experiment"] == "steady-state" else 1))
+
+
+def theta_tag(theta: float) -> str:
+    """TCL column tag of a projector angle: theta / pi to 4 decimals."""
+    return f"{theta / np.pi:.4f}".replace(".", "p").replace("-", "m") + "pi"
 
 
 def system_matrix(spec: dict) -> np.ndarray:
@@ -227,13 +259,6 @@ def environment_spec(spec: dict):
 def time_grid(cfg: dict, params: ModelParams) -> np.ndarray:
     tg = cfg.get("time_grid", {})
     points = int(tg.get("points", 400))
-    if "t_max" in tg:
-        t_max = float(tg["t_max"])
-    else:
-        over = float(tg.get("t_max_over_relaxation", 5.0))
-        rate = params.relaxation_rate
-        if rate <= 0:
-            raise ConfigError("relaxation rate vanishes (alpha = 0); "
-                              "set an absolute time_grid.t_max")
-        t_max = over / rate
+    t_max = float(tg["t_max"]) if "t_max" in tg else \
+        float(tg.get("t_max_over_relaxation", 5.0)) / params.relaxation_rate
     return np.linspace(0.0, t_max, points)

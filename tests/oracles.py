@@ -160,6 +160,39 @@ def phi_plus_projector(n_levels: int) -> np.ndarray:
     return p.reshape(4 * n_levels, 4 * n_levels).astype(complex)
 
 
+def index_blocks(h: np.ndarray) -> list[np.ndarray]:
+    """Connected components, as arrays of composite indices, of the pattern
+    |h| > 1e-12 max|h| taken as an undirected graph over the 4N indices.
+
+    When the plain frame is one component, the components of W h W in the
+    Bell frame W = U4 (x) I_N, built as a dense matrix: the columns of U4 are
+    Phi+, Psi+, Psi- and Phi- over the pairs 2 * m + i, with
+    Psi+- = (|0, branch 2> +- |1, branch 1>) / sqrt(2); W is real, symmetric
+    and its own inverse."""
+    def components(m):
+        adj = np.abs(m) > 1e-12 * np.abs(m).max()
+        adj |= adj.T
+        label = np.full(len(adj), -1)
+        for i in range(len(adj)):
+            todo = [i] if label[i] < 0 else []
+            while todo:                     # depth-first search from i
+                k = todo.pop()
+                if label[k] < 0:
+                    label[k] = i
+                    todo.extend(np.flatnonzero(adj[k] & (label < 0)))
+        return [np.flatnonzero(label == i) for i in np.unique(label)]
+
+    blocks = components(h)
+    if len(blocks) == 1:
+        n = h.shape[0] // 4
+        u4 = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0],
+                       [1, 0, 0, -1]]) / np.sqrt(2.0)
+        w = np.einsum('ljmk,np->lnjmpk', u4.reshape(2, 2, 2, 2), np.eye(n))
+        w = w.reshape(4 * n, 4 * n)
+        blocks = components(w @ h @ w)
+    return blocks
+
+
 def conserved_charge(n_levels: int) -> np.ndarray:
     """System inversion plus environment branch parity (4N x 4N):
     (|1><1| - |0><0|) (x) I_2N + I_2 (x) I_N (x) (P2 - P1).

@@ -96,6 +96,46 @@ class TestValidate:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("experiment", ["compare", "steady-state"])
+    def test_vanishing_rate_exit_2(self, tmp_path, capsys, experiment):
+        # times set in units of 1/lambda, lambda = alpha^2 (2 pi / delta_eps) N
+        if experiment == "compare":
+            cfg_dict = compare_cfg(alpha=0.0)       # no absolute t_max
+        else:
+            cfg_dict = TestSteadyState.cfg()
+            cfg_dict["model"]["alpha"] = 0.0
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_coinciding_column_tags_exit_2(self, tmp_path, capsys):
+        # 0.0 and 1e-5 both give the TCL columns tcl_0p0000pi_*
+        cfg_dict = compare_cfg()
+        cfg_dict["projectors"] = [0.0, 0.00001, 0.0]
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, override", [
+        ("compare", ["--seed", "-5"]), ("compare", ["--seed", str(2 ** 64)]),
+        ("compare", ["--realizations", "0"]),
+        ("seed-report", ["--seed", "-5"]), ("seed-report", ["--realizations", "0"])],
+        ids=["compare-seed-5", "compare-seed-2^64", "compare-realizations-0",
+             "seed-report-seed-5", "seed-report-realizations-0"])
+    def test_override_outside_the_schema_exit_2(self, tmp_path, capsys, command,
+                                                override):
+        cfg = write_cfg(tmp_path, compare_cfg())
+        assert main(["validate", "--config", cfg]) == 0
+        out = ["--out", str(tmp_path / "out")] if command == "compare" else []
+        assert main([command, "--config", cfg] + out + override) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCompare:
     def test_runs_and_writes_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, compare_cfg())
@@ -126,6 +166,18 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out2),
                      "--seed", "999"]) == 0
         assert (out1 / "compare.csv").read_bytes() != (out2 / "compare.csv").read_bytes()
+
+    def test_override_run_repeats_from_its_metadata(self, tmp_path):
+        cfg = write_cfg(tmp_path, compare_cfg())
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["compare", "--config", cfg, "--out", str(out1),
+                     "--seed", "999", "--realizations", "2"]) == 0
+        echoed = json.loads((out1 / "metadata.json").read_text())["config"]
+        assert echoed["model"]["seed"] == 999 and echoed["realizations"] == 2
+        cfg2 = write_cfg(tmp_path, echoed, name="echoed.yaml")
+        assert main(["compare", "--config", cfg2, "--out", str(out2)]) == 0
+        for name in ("compare.csv", "metadata.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_decoupled_model_constant_curves(self, tmp_path):
         cfg_dict = compare_cfg(alpha=0.0)

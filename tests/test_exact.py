@@ -6,8 +6,9 @@ from ecps import (ModelParams, build_hamiltonian, eig_hermitian,
                   ensemble_average, evolve_exact, initial_state,
                   reduced_from_sector, sample_couplings, sector_variables)
 from oracles import (PHI_PLUS, SECTOR_THETAS, conserved_charge,
-                     embed_level_uniform, evolve_exact_dense, partial_trace,
-                     phi_plus_projector, rk4_von_neumann, rotate_sector)
+                     embed_level_uniform, evolve_exact_dense, index_blocks,
+                     partial_trace, phi_plus_projector, rk4_von_neumann,
+                     rotate_sector)
 
 PI4 = np.pi / 4
 
@@ -285,6 +286,30 @@ class TestBlocks:
         sizes, _ = self._block_sizes(monkeypatch, h, rho0)
         assert sizes == [b * 60 for b in blocks]
 
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 7, 60])
+    def test_blocks_match_index_level_oracle(self, monkeypatch, n_levels, xi):
+        # the blocks read off the four pairs r = 2l + j are the index-level
+        # components of h, found by a generic graph search (in a dense Bell
+        # frame when the plain frame is one component)
+        sizes = []
+        original = ecps.exact.eig_hermitian
+
+        def recording(m, *args):
+            sizes.append(m.shape[0])
+            return original(m, *args)
+
+        monkeypatch.setattr(ecps.exact, "eig_hermitian", recording)
+        eff0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        for alpha in (0.0, 0.005, 0.3, 2.0):
+            for seed in range(3):
+                p = params(n_levels=n_levels, xi=xi, alpha=alpha, seed=seed)
+                h = build_hamiltonian(p, sample_couplings(p))
+                sizes.clear()
+                evolve_exact(h, eff0, [0.0, 1.0])
+                expected = [b.size for b in index_blocks(h) if b.size > 1]
+                assert sorted(sizes) == sorted(expected), (alpha, seed)
+
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     def test_decoupled_needs_no_eigh(self, monkeypatch, xi):
         p = params(n_levels=5, xi=xi, alpha=0.0)
@@ -306,14 +331,24 @@ class TestBlocks:
         for th in SECTOR_THETAS:
             assert np.abs(rotate_sector(traj.states, th) - sectors[th]).max() <= 1e-12
 
-    @pytest.mark.parametrize("xi", [0.0, 1.0])
-    def test_rejects_non_hermitian_singleton(self, xi):
+    @pytest.mark.parametrize("xi, on_phi_plus", [(0.0, False), (1.0, False),
+                                                 (0.5, True), (1.0, True)],
+                             ids=["0.0", "1.0", "0.5-phi_plus", "1.0-phi_plus"])
+    def test_rejects_non_hermitian_singleton(self, xi, on_phi_plus):
         # at xi = 0 index 0 is |0,1,1>, which sees only H0; at xi = 1 the
-        # perturbation lands on Phi+ and Phi- of level 1 in the Bell frame
+        # perturbation lands on Phi+ and Phi- of level 1 in the Bell frame.
+        # i 1e-3 |Phi+, 1><Phi+, 1| lands only on the Bell-frame diagonal of
+        # Phi+, a pair linked to nothing, so no eig_hermitian sees it
         p = params(n_levels=3, xi=xi)
         h, rho0 = setup(p)
-        h[0, 0] += 1e-3j
-        with pytest.raises(ValueError):
+        if on_phi_plus:
+            phi = np.zeros(h.shape[0])
+            phi[0] = phi[2 * p.n_levels + 1] = 1.0 / np.sqrt(2.0)  # |0,1,1>, |1,1,2>
+            h += 1e-3j * np.outer(phi, phi)
+        else:
+            h[0, 0] += 1e-3j
+        match = "evolve_exact requires" if on_phi_plus else None
+        with pytest.raises(ValueError, match=match):
             evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
 
     @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 4)])
