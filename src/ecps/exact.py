@@ -165,8 +165,7 @@ def _block_eigen(h: np.ndarray):
     # index[r] is the composite index l*2N + 2n + j of (pair r, level n)
     index = np.arange(d).reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n)
     w = np.empty(d)
-    rows, spans = [None] * 4, [None] * 4
-    start = 0
+    rows, spans, start = [None] * 4, [None] * 4, 0
     for block in dict.fromkeys(tuple(np.flatnonzero(row)) for row in reach):
         sup = index[list(block)].ravel()
         span = slice(start, start + sup.size)
@@ -216,26 +215,27 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> Trajectory:
     pairs = [(r, c) for r in range(4) for c in range(r, 4)]
     gram = [rows[r].T @ rows[c].conj() for r, c in pairs]
     del rows        # the eigenvectors, freed before rho_e
-    # rho_e one span rectangle at a time (a lower peak RSS than all of it),
-    # from K_rc and, on the diagonal rectangles, K_cr = K_rc^dagger
+    # rho_e on one span rectangle X x Y (X <= Y) at a time (a lower peak RSS
+    # than all of it), from conj(K_rc) at X x Y and K_rc^T = conj(K_cr) at Y x X
     coef = eff0 / (w.size // 4)
     at = [(spans[r].start, spans[c].start) for r, c in pairs]
-    for rect in dict.fromkeys(at):
-        same = [i for i, a in enumerate(at) if a == rect]
-        rho_e = np.zeros_like(gram[same[0]])
-        for (r, c), k in [(pairs[i], gram[i]) for i in same]:
-            rho_e += coef[r, c] * k.conj()
-            if r != c and rect[0] == rect[1]:
+    size = {s.start: s.stop - s.start for s in spans}
+    for x, y in dict.fromkeys(tuple(sorted(a)) for a in at):
+        rho_e = np.zeros((size[x], size[y]), dtype=complex)
+        for (r, c), k, a in zip(pairs, gram, at):
+            if a == (x, y):
+                rho_e += coef[r, c] * k.conj()
+            if a == (y, x) and r != c:
                 rho_e += coef[c, r] * k.T
-        for i in same:
-            gram[i] *= rho_e        # K_rc becomes M_rc
+        for k, a in zip(gram, at):
+            if a in ((x, y), (y, x)):
+                k *= rho_e if a == (x, y) else rho_e.T.conj()     # M_rc
     del rho_e
 
-    ph = np.empty((times.size, w.size), dtype=complex)
-    np.multiply(np.outer(times, w), -1j, out=ph)
+    ph = np.multiply.outer(times, -1j * w)
     np.exp(ph, out=ph)
     # Ph M_rc reuses one buffer, so one T x width temporary is alive at a time
-    width = max(s.stop - s.start for s in spans)
+    width = max(size.values())
     phm_buf = np.empty(times.size * width, dtype=complex)
     eff = np.empty((times.size, 4, 4), dtype=complex)
     for (r, c), m in zip(pairs, gram):

@@ -238,6 +238,39 @@ class TestEigenbasisReadout:
                 assert np.abs(rotate_sector(traj.states, th)
                               - sectors[th]).max() <= 1e-12
 
+    # (system (x) branch) couplings whose pair blocks interleave in the pair
+    # order r = 2l + j, so that spans[r] > spans[c] for some r < c:
+    # sigma_x (x) I gives {0, 2}, {1, 3}; sigma_x (x) sigma_x gives {0, 3}, {1, 2}
+    PAIR_COUPLINGS = {"sx_id": np.kron([[0, 1], [1, 0]], np.eye(2)),
+                      "sx_sx": np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])}
+
+    @pytest.mark.parametrize("coupling", PAIR_COUPLINGS)
+    @pytest.mark.parametrize("n_levels", [1, 3])
+    def test_interleaved_pair_blocks(self, monkeypatch, n_levels, coupling):
+        # h = sigma (x) B + H0 for a random Hermitian level operator B, from
+        # an eff0 with every inter-pair coherence, against the dense reference
+        rng = np.random.default_rng(n_levels)
+        b = rng.standard_normal((n_levels, n_levels)) \
+            + 1j * rng.standard_normal((n_levels, n_levels))
+        levels = np.diag(np.linspace(-0.25, 0.25, n_levels)) + 0.1 * (b + b.conj().T)
+        sys_branch = self.PAIR_COUPLINGS[coupling]
+        h = np.einsum('ljmk,nq->lnjmqk', sys_branch.reshape(2, 2, 2, 2),
+                      levels).reshape(4 * n_levels, 4 * n_levels) \
+            + np.kron(np.eye(2), np.kron(np.diag(np.arange(n_levels) * 0.5),
+                                         np.eye(2)))
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        eff0 = m @ m.conj().T
+        eff0 /= np.trace(eff0).real
+        sizes, traj = TestBlocks._block_sizes(
+            monkeypatch, h, embed_level_uniform(eff0, n_levels),
+            [0.0, 0.1, 0.35, 2.0, 7.5])
+        assert sizes == [2 * n_levels, 2 * n_levels]     # the plain frame
+        system, sectors = evolve_exact_dense(
+            h, embed_level_uniform(eff0, n_levels), traj.times, self.THETAS)
+        assert np.abs(traj.system_states - system).max() <= 1e-12
+        for th in self.THETAS:
+            assert np.abs(rotate_sector(traj.states, th) - sectors[th]).max() <= 1e-12
+
 
 class TestBlocks:
     """evolve_exact diagonalizes each connected block of h on its own."""
@@ -292,21 +325,12 @@ class TestBlocks:
         # the blocks read off the four pairs r = 2l + j are the index-level
         # components of h, found by a generic graph search (in a dense Bell
         # frame when the plain frame is one component)
-        sizes = []
-        original = ecps.exact.eig_hermitian
-
-        def recording(m, *args):
-            sizes.append(m.shape[0])
-            return original(m, *args)
-
-        monkeypatch.setattr(ecps.exact, "eig_hermitian", recording)
-        eff0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         for alpha in (0.0, 0.005, 0.3, 2.0):
             for seed in range(3):
                 p = params(n_levels=n_levels, xi=xi, alpha=alpha, seed=seed)
-                h = build_hamiltonian(p, sample_couplings(p))
-                sizes.clear()
-                evolve_exact(h, eff0, [0.0, 1.0])
+                h, rho0 = setup(p)
+                sizes, _ = self._block_sizes(monkeypatch, h, rho0)
+                monkeypatch.undo()
                 expected = [b.size for b in index_blocks(h) if b.size > 1]
                 assert sorted(sizes) == sorted(expected), (alpha, seed)
 
