@@ -7,7 +7,7 @@ from .model import (CouplingSet, ModelParams, build_hamiltonian,
                     build_projector, build_v, initial_state, sample_couplings)
 from .exact import (Trajectory, ensemble_average, evolve_exact,
                     realization_seeds, reduced_from_sector, sector_variables)
-from .superop import (DeltaScan, apply_superop, choi_matrix, delta_superop,
+from .superop import (apply_superop, choi_matrix, delta_superop,
                       effective_generator_full, projector_superop, scan_delta,
                       tcl_generator, unvec, vec)
 from .tcl import (DivergenceError, EcpsComponent, HomogeneityError,
@@ -16,13 +16,12 @@ from .tcl import (DivergenceError, EcpsComponent, HomogeneityError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingSet", "DeltaScan", "DivergenceError", "EcpsComponent",
-    "HomogeneityError", "ModelParams", "STRUCTURAL_TOL", "Trajectory",
-    "apply_superop", "build_hamiltonian", "build_projector", "build_v",
-    "choi_matrix", "delta_superop", "ecps_evolve", "effective_generator_full",
-    "eig_hermitian", "ensemble_average", "evolve_exact", "initial_state",
-    "is_density", "is_hermitian", "projector_superop", "realization_seeds",
-    "reduced_from_sector", "sample_couplings", "scan_delta",
-    "sector_variables", "singular_values", "solve_tcl", "steady_state",
-    "tcl_generator", "unvec", "vec",
+    "CouplingSet", "DivergenceError", "EcpsComponent", "HomogeneityError",
+    "ModelParams", "STRUCTURAL_TOL", "Trajectory", "apply_superop",
+    "build_hamiltonian", "build_projector", "build_v", "choi_matrix",
+    "delta_superop", "ecps_evolve", "effective_generator_full", "eig_hermitian",
+    "ensemble_average", "evolve_exact", "initial_state", "is_density",
+    "is_hermitian", "projector_superop", "realization_seeds",
+    "reduced_from_sector", "sample_couplings", "scan_delta", "sector_variables",
+    "singular_values", "solve_tcl", "steady_state", "tcl_generator", "unvec", "vec",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, SCHEMA_VERSION, environment_spec,
+from .config import (ConfigError, SCHEMA_VERSION, end_time, environment_spec,
                      load_config, model_params, n_realizations, system_matrix,
                      theta_tag, time_grid, with_overrides)
 from .exact import (ensemble_average, evolve_exact, realization_seeds,
@@ -107,37 +107,25 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
 
     exact = ensemble_average(params, n_real, run_one)
 
+    def curve(traj):
+        s = traj.system_states
+        return [s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag]
+
     thetas = [float(t) for t in cfg.get("projectors", [0.0, np.pi / 4])]
-    tcl_curves = {}
-    for th in thetas:
-        k = tcl_generator(th, params.xi, lam)
-        projected = apply_superop(projector_superop(th), eff0)
-        tcl_curves[th] = solve_tcl(k, projected, times, th)
-
-    ecps_curve = None
-    if "ecps" in cfg:
-        comps = [EcpsComponent(w, eff, th) for w, eff, th in effs]
-        ecps_curve = ecps_evolve(comps, params.xi, lam, times)
-
     header = ["t", "exact_rho00", "exact_rho01_re", "exact_rho01_im"]
-    columns = [times,
-               exact.system_states[:, 0, 0].real,
-               exact.system_states[:, 0, 1].real,
-               exact.system_states[:, 0, 1].imag]
+    columns = [times] + curve(exact)
     column_map = {}
     for th in thetas:
         tag = theta_tag(th)
         column_map[f"tcl_{tag}"] = th
-        sol = tcl_curves[th]
         header += [f"tcl_{tag}_rho00", f"tcl_{tag}_rho01_re", f"tcl_{tag}_rho01_im"]
-        columns += [sol.system_states[:, 0, 0].real,
-                    sol.system_states[:, 0, 1].real,
-                    sol.system_states[:, 0, 1].imag]
-    if ecps_curve is not None:
+        k = tcl_generator(th, params.xi, lam)
+        projected = apply_superop(projector_superop(th), eff0)
+        columns += curve(solve_tcl(k, projected, times, th))
+    if "ecps" in cfg:
+        comps = [EcpsComponent(w, eff, th) for w, eff, th in effs]
         header += ["ecps_rho00", "ecps_rho01_re", "ecps_rho01_im"]
-        columns += [ecps_curve.system_states[:, 0, 0].real,
-                    ecps_curve.system_states[:, 0, 1].real,
-                    ecps_curve.system_states[:, 0, 1].imag]
+        columns += curve(ecps_evolve(comps, params.xi, lam, times))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "compare.csv"
@@ -163,15 +151,18 @@ def run_choi_scan(cfg: dict, out_dir: Path) -> list[Path]:
     theta_max = float(section.get("theta_max", np.pi / 4))
     lam = float(section.get("lam", 1.0))
     grid = np.linspace(0.0, theta_max, n_theta)
-    scan = scan_delta(xi_values, grid, lam)
+    sv = scan_delta(xi_values, grid, lam)
+    max_sv = sv[:, :, 0]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     scan_path = out_dir / "scan.csv"
     _write_csv(scan_path,
                ["xi", "theta"] + [f"sv{i + 1}" for i in range(16)],
-               [(xi, th, *sv) for xi, th, sv in scan.rows])
+               np.column_stack([np.repeat(xi_values, n_theta),
+                                np.tile(grid, len(xi_values)), sv.reshape(-1, 16)]))
     summary_path = out_dir / "summary.csv"
-    _write_csv(summary_path, ["xi", "argmin_theta", "min_max_sv"], scan.summary)
+    _write_csv(summary_path, ["xi", "argmin_theta", "min_max_sv"],
+               zip(xi_values, grid[max_sv.argmin(axis=1)], max_sv.min(axis=1)))
     _write_metadata(out_dir, cfg, params, {
         "lam": lam, "theta_points": n_theta, "theta_max": theta_max,
         "xi_values": xi_values,
@@ -185,7 +176,7 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     p1 = float(section["p1"])
     p_exc = float(section["p_excited"])
     coh = float(section["coherence"])
-    t_inf = float(section.get("t_infinity_over_relaxation", 50.0)) / params.relaxation_rate
+    t_inf = end_time(cfg, params)
     n_real = n_realizations(cfg)
     lam = params.relaxation_rate
     pi4 = np.pi / 4

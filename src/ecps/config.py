@@ -169,14 +169,27 @@ def _validate(cfg: dict):
         first = errors[0]
         where = "$" + "".join(f"[{p!r}]" for p in first.absolute_path)
         raise ConfigError(f"config invalid at {where}: {first.message}")
+    for where, x in _floats(cfg):
+        if not np.isfinite(x):
+            raise ConfigError(f"config invalid at {where}: {x!r} is not finite")
     _check_experiment_sections(cfg)
+
+
+def _floats(node, where="$"):
+    """(path, value) of every float in a loaded config."""
+    if isinstance(node, float):
+        yield where, node
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _floats(value, f"{where}[{key!r}]")
 
 
 def _check_experiment_sections(cfg: dict):
     """What the schema cannot say: the sections each experiment needs, a
-    nonzero relaxation rate where times are set in its units, distinct TCL
-    column tags, and initial states the runners accept (density matrices,
-    ECPS weights summing to 1 within the solver's WEIGHT_TOL)."""
+    finite relaxation rate (every experiment records it), nonzero where times
+    are set in its units, finite end times, distinct TCL column tags, and
+    initial states the runners accept (density matrices, ECPS weights summing
+    to 1 within the solver's WEIGHT_TOL)."""
     kind = cfg["experiment"]
     if kind == "compare":
         has_init = "initial_state" in cfg
@@ -191,10 +204,20 @@ def _check_experiment_sections(cfg: dict):
     elif kind == "steady-state":
         if "steady_state" not in cfg:
             raise ConfigError("steady-state needs a 'steady_state' section")
-    if (kind == "steady-state" or kind == "compare" and "t_max" not in cfg.get(
-            "time_grid", {})) and model_params(cfg).relaxation_rate <= 0:
-        raise ConfigError(f"relaxation rate vanishes (alpha = 0), and {kind} sets its "
-                          "times in units of 1/rate; compare takes a time_grid.t_max")
+    params = model_params(cfg)
+    try:
+        rate = params.relaxation_rate
+    except OverflowError:
+        rate = np.inf
+    if not np.isfinite(rate):
+        raise ConfigError(f"relaxation rate overflows at alpha = {params.alpha!r}")
+    if kind != "choi-scan":
+        if rate <= 0 and (kind == "steady-state"
+                          or "t_max" not in cfg.get("time_grid", {})):
+            raise ConfigError(f"relaxation rate vanishes (alpha = 0), and {kind} sets "
+                              "its times in 1/rate; compare takes a time_grid.t_max")
+        if not np.isfinite(end_time(cfg, params)):
+            raise ConfigError(f"{kind} end time overflows at relaxation rate {rate!r}")
     tags = [theta_tag(theta) for theta in cfg.get("projectors", [])]
     if len(set(tags)) < len(tags):
         raise ConfigError(f"projector angles must have distinct column tags, got {tags}")
@@ -256,9 +279,17 @@ def environment_spec(spec: dict):
     return kind
 
 
-def time_grid(cfg: dict, params: ModelParams) -> np.ndarray:
+def end_time(cfg: dict, params: ModelParams) -> float:
+    """Last time of the exact propagation: compare's t_max, or the instant at
+    which steady-state reads the exact state."""
+    if cfg["experiment"] == "steady-state":
+        return float(cfg["steady_state"].get("t_infinity_over_relaxation", 50.0)) \
+            / params.relaxation_rate
     tg = cfg.get("time_grid", {})
-    points = int(tg.get("points", 400))
-    t_max = float(tg["t_max"]) if "t_max" in tg else \
+    return float(tg["t_max"]) if "t_max" in tg else \
         float(tg.get("t_max_over_relaxation", 5.0)) / params.relaxation_rate
-    return np.linspace(0.0, t_max, points)
+
+
+def time_grid(cfg: dict, params: ModelParams) -> np.ndarray:
+    points = int(cfg.get("time_grid", {}).get("points", 400))
+    return np.linspace(0.0, end_time(cfg, params), points)

@@ -62,7 +62,7 @@ and K_rc, rho_e and the phases are needed only on spans[r] x spans[c].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,17 +72,18 @@ from .model import ModelParams
 
 @dataclass
 class Trajectory:
-    """Time series of effective and reduced states, exact or projected.
+    """Time series of effective states, exact or projected.
 
     states has shape (T, 4, 4): the effective state in the unrotated branch
-    basis (theta = 0). system_states has shape (T, 2, 2). meta records
-    provenance such as seeds.
+    basis (theta = 0). system_states, shape (T, 2, 2), is its reduced state.
     """
 
     times: np.ndarray
     states: np.ndarray
-    system_states: np.ndarray
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def system_states(self) -> np.ndarray:
+        return reduced_from_sector(self.states)
 
 
 def sector_variables(rho: np.ndarray) -> np.ndarray:
@@ -248,8 +249,7 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> Trajectory:
         eff[:, r, c] = eff[:, c, r].conj()
     if bell_frame:
         eff = _BELL @ eff @ _BELL / 2
-    return Trajectory(times=times, states=eff,
-                      system_states=reduced_from_sector(eff))
+    return Trajectory(times=times, states=eff)
 
 
 def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
@@ -263,8 +263,7 @@ def ensemble_average(params: ModelParams, n_realizations: int, run_one) -> Traje
 
     ``run_one(params_k)`` must return a Trajectory on a fixed time grid;
     realization k runs with the k-th derived seed (realization 0 reuses the
-    base seed, so n_realizations=1 reproduces a single run exactly). Per-seed
-    provenance is recorded in the result's meta.
+    base seed, so n_realizations=1 reproduces a single run exactly).
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -274,9 +273,4 @@ def ensemble_average(params: ModelParams, n_realizations: int, run_one) -> Traje
     for t in trajs[1:]:
         if not np.array_equal(t.times, times):
             raise ValueError("realizations must share one time grid")
-    return Trajectory(
-        times=times,
-        states=np.mean([t.states for t in trajs], axis=0),
-        system_states=np.mean([t.system_states for t in trajs], axis=0),
-        meta=dict(base_seed=params.seed, realization_seeds=seeds,
-                  n_realizations=n_realizations))
+    return Trajectory(times=times, states=np.mean([t.states for t in trajs], axis=0))

@@ -62,5 +62,6 @@ def eig_hermitian(m, tol: float = STRUCTURAL_TOL):
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values of ``m``, descending and non-negative."""
-    return np.linalg.svd(_as_matrix(m), compute_uv=False)
+    """Singular values of a matrix, or of each matrix in a (..., M, N) stack,
+    descending and non-negative; a ValueError below two dimensions."""
+    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)

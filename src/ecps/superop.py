@@ -26,8 +26,6 @@ this ordering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import SIGMA_PLUS, SIGMA_PLUS_X, branch_rotation
@@ -130,57 +128,37 @@ def tcl_generator(theta: float, xi: float, lam: float) -> np.ndarray:
     return p @ effective_generator_full(xi, lam) @ p
 
 
-def delta_superop(theta: float, xi: float, lam: float) -> np.ndarray:
-    """Difference between the once-projected and twice-projected generators,
-    P_theta o G - K2(theta) = P_theta o G o (I - P_theta).
-
-    Annihilates every relevant state (Delta o P_theta = 0); it is nonzero
-    exactly when the projector family cannot capture the full generator.
-    """
-    p = projector_superop(theta)
-    g = effective_generator_full(xi, lam)
+def delta_superop(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """What the projector P cannot capture of the generator G: Delta =
+    P o G - P o G o P = P o G o (I - P), for 16 x 16 superoperators or
+    broadcasting (..., 16, 16) stacks (P = projector_superop(theta),
+    G = effective_generator_full(xi, lam)). Delta o P = 0, and Delta
+    vanishes exactly when the projector captures the full generator."""
     return p @ g @ (np.eye(16) - p)
 
 
 def choi_matrix(s: np.ndarray) -> np.ndarray:
-    """Choi matrix C = sum_ab S(E_ab) (x) E_ab over the 4x4 matrix units.
+    """Choi matrix C = sum_ab S(E_ab) (x) E_ab over the 4x4 matrix units, of a
+    superoperator or of each one in a (..., 16, 16) stack.
 
     An index permutation of S: C[(i, a), (j, b)] = S(E_ab)[i, j] is the
     column-stacked entry S[4j + i, 4b + a]."""
-    s = np.asarray(s, dtype=complex).reshape(EFF_DIM, EFF_DIM, EFF_DIM, EFF_DIM)
-    return s.transpose(1, 3, 0, 2).reshape(EFF_DIM ** 2, EFF_DIM ** 2)
+    s = np.asarray(s, dtype=complex)
+    t = s.reshape(s.shape[:-2] + (EFF_DIM,) * 4)
+    return np.einsum('...jiba->...iajb', t).reshape(s.shape)
 
 
-@dataclass
-class DeltaScan:
-    """Result of a (xi, theta) scan of the Choi singular values of Delta.
+def scan_delta(xi_list, theta_grid, lam: float = 1.0) -> np.ndarray:
+    """Singular values of Choi(Delta) over a (xi, theta) grid.
 
-    rows: one entry per grid point, (xi, theta, descending 16-vector of
-    singular values). summary: per xi, (xi, minimizing theta, max singular
-    value at the minimizer).
-    """
-
-    rows: list
-    summary: list
-
-
-def scan_delta(xi_list, theta_grid, lam: float = 1.0) -> DeltaScan:
-    """Singular values of Choi(Delta) over a parameter grid, plus the per-xi
-    minimizer of the largest singular value."""
-    xi_list = list(xi_list)
-    theta_grid = list(theta_grid)
+    Returns sv of shape (len(xi_list), len(theta_grid), 16): sv[i, k] holds
+    the singular values, descending, at xi_list[i] and theta_grid[k]. The
+    projectors are built once as a stack, the generator once per xi."""
+    xi_list, theta_grid = list(xi_list), list(theta_grid)
     if not xi_list:
         raise ValueError("xi_list must not be empty")
     if not theta_grid:
         raise ValueError("theta_grid must not be empty")
-    rows = []
-    summary = []
-    for xi in xi_list:
-        best_theta, best_max = None, np.inf
-        for theta in theta_grid:
-            sv = singular_values(choi_matrix(delta_superop(theta, xi, lam)))
-            rows.append((float(xi), float(theta), sv))
-            if sv[0] < best_max:
-                best_max, best_theta = float(sv[0]), float(theta)
-        summary.append((float(xi), best_theta, best_max))
-    return DeltaScan(rows=rows, summary=summary)
+    p = np.array([projector_superop(theta) for theta in theta_grid])
+    return np.array([singular_values(choi_matrix(delta_superop(
+        p, effective_generator_full(xi, lam)))) for xi in xi_list])

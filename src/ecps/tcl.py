@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .exact import Trajectory, reduced_from_sector
+from .exact import Trajectory
 from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
 from .superop import (apply_superop, projector_superop, tcl_generator, unvec,
                       vec)
@@ -96,8 +96,7 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> Trajector
     for i in range(1, times.size):
         vecs[i] = step @ vecs[i - 1]
     states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)     # unvec of each row
-    return Trajectory(times=times, states=states,
-                      system_states=reduced_from_sector(states))
+    return Trajectory(times=times, states=states)
 
 
 def ecps_evolve(components, xi: float, lam: float, times) -> Trajectory:
@@ -127,8 +126,7 @@ def ecps_evolve(components, xi: float, lam: float, times) -> Trajectory:
         except HomogeneityError as exc:
             raise HomogeneityError(f"component {i}: {exc}") from exc
         total += comp.weight * sol.states
-    return Trajectory(times=times, states=total,
-                      system_states=reduced_from_sector(total))
+    return Trajectory(times=times, states=total)
 
 
 def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:

@@ -29,6 +29,11 @@ from oracles import (choi_oracle, conserved_charge, rate_table_generator,
 PI4 = np.pi / 4
 
 
+def delta(theta, xi, lam=1.0):
+    """Delta at one grid point, built from P_theta and G(xi, lam)."""
+    return delta_superop(projector_superop(theta), effective_generator_full(xi, lam))
+
+
 def report(criterion, ok, detail=""):
     print(f"\nACCEPTANCE criterion {criterion}: {'PASS' if ok else 'FAIL'}"
           + (f" -- {detail}" if detail else ""))
@@ -60,12 +65,11 @@ def test_criterion_2_projector_quality_scan():
     start = time.time()
     grid = np.linspace(0.0, PI4, 64)
     # (a) matched pairs give an exactly capturable generator
-    sv_a0 = singular_values(choi_matrix(delta_superop(0.0, 0.0, 1.0)))
-    sv_a1 = singular_values(choi_matrix(delta_superop(PI4, 1.0, 1.0)))
+    sv_a0 = singular_values(choi_matrix(delta(0.0, 0.0)))
+    sv_a1 = singular_values(choi_matrix(delta(PI4, 1.0)))
     clause_a = sv_a0.max() <= 1e-10 and sv_a1.max() <= 1e-10
     # (b) mixed interaction: no projector captures the generator
-    scan = scan_delta([0.5], grid, 1.0)
-    floor = min(sv[0] for _, _, sv in scan.rows)
+    floor = scan_delta([0.5], grid, 1.0)[0, :, 0].min()
     clause_b = floor > 1e-3
     # (c) Choi spectrum of Delta at the reference angles equals that of
     # P K2(t) (I - P) / g(t) from the exact Wick-contraction oracle
@@ -73,7 +77,7 @@ def test_criterion_2_projector_quality_scan():
     k2 = tcl2_wick_generator(0.5, 3, 2.0, 3.7, 0.1) / g
     counts, sv_dev = {}, {}
     for theta in (0.0, PI4):
-        sv = singular_values(choi_matrix(delta_superop(theta, 0.5, 1.0)))
+        sv = singular_values(choi_matrix(delta(theta, 0.5)))
         p = sector_projector(theta)
         sv_ref = np.linalg.svd(choi_oracle(p @ k2 @ (np.eye(16) - p)),
                                compute_uv=False)
@@ -235,7 +239,7 @@ def test_criterion_5_property_suites():
         for theta in (0.0, 0.3, PI4):
             k = tcl_generator(theta, xi, 1.0)
             ok &= np.linalg.eigvals(k).real.max() <= 1e-12
-            ok &= np.abs(delta_superop(theta, xi, 1.0)
+            ok &= np.abs(delta_superop(projector_superop(theta), g)
                          @ projector_superop(theta)).max() <= 1e-12
     checks["generator properties"] = ok
 

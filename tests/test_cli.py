@@ -120,6 +120,40 @@ class TestValidate:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, path, value", [
+        ("compare", ("projectors", 0), float("nan")),
+        ("compare", ("time_grid", "t_max"), float("inf")),
+        ("choi-scan", ("choi_scan", "lam"), float("inf")),
+        ("choi-scan", ("choi_scan", "xi_values", 0), float("nan"))],
+        ids=["projectors-nan", "t_max-inf", "lam-inf", "xi_values-nan"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, command, path, value):
+        cfg_dict = compare_cfg() if command == "compare" else TestChoiScan.cfg([0.5])
+        node = cfg_dict
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "config invalid at $" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, alpha", [
+        ("compare", 1e155), ("compare", 1e-160), ("steady-state", 1e-160)],
+        ids=["compare-rate-overflows", "compare-end-time-overflows",
+             "steady-state-end-time-overflows"])
+    def test_rate_out_of_range_exit_2(self, tmp_path, capsys, experiment, alpha):
+        # alpha ** 2 overflows at 1e155; at 1e-160 the rate is subnormal and
+        # 5 / rate (compare) or 50 / rate (steady-state) is infinite
+        cfg_dict = compare_cfg() if experiment == "compare" else TestSteadyState.cfg()
+        cfg_dict["model"]["alpha"] = alpha
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, override", [
         ("compare", ["--seed", "-5"]), ("compare", ["--seed", str(2 ** 64)]),
         ("compare", ["--realizations", "0"]),
@@ -258,6 +292,32 @@ class TestChoiScan:
         _, rows = read_csv(out / "scan.csv")
         assert rows.shape[0] == 1
         assert rows[0, 2:].max() <= 1e-10
+
+    def test_summary_is_first_strict_minimizer(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.cfg([0.0, 0.3, 0.5, 1.0]))
+        out = tmp_path / "out"
+        assert main(["choi-scan", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "scan.csv")
+        _, summary = read_csv(out / "summary.csv")
+        expected = []
+        for xi in (0.0, 0.3, 0.5, 1.0):
+            best_theta, best_max = None, np.inf
+            for _, theta, max_sv in rows[rows[:, 0] == xi][:, :3]:
+                if max_sv < best_max:
+                    best_max, best_theta = max_sv, theta
+            expected.append((xi, best_theta, best_max))
+        assert np.array_equal(summary, np.array(expected))
+
+    def test_summary_keeps_first_of_tied_minima(self, tmp_path, monkeypatch):
+        sv = np.zeros((2, 5, 16))
+        sv[:, :, 0] = [[3.0, 1.0, 2.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 2.0]]
+        monkeypatch.setattr(ecps.cli, "scan_delta", lambda xis, grid, lam: sv)
+        cfg = write_cfg(tmp_path, self.cfg([0.0, 1.0], theta_points=5))
+        out = tmp_path / "out"
+        assert main(["choi-scan", "--config", cfg, "--out", str(out)]) == 0
+        _, summary = read_csv(out / "summary.csv")
+        grid = np.linspace(0.0, PI4, 5)
+        assert np.array_equal(summary, [[0.0, grid[1], 1.0], [1.0, grid[0], 2.0]])
 
     def test_empty_xi_list_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, self.cfg([]))

@@ -100,6 +100,18 @@ class TestSingularValues:
         assert np.all(np.diff(sv) <= 1e-12)
         assert np.abs(sv - oracle).max() <= 1e-10
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(9)
+        stack = random_complex(rng, (2, 3, 16, 16))
+        sv = singular_values(stack)
+        assert sv.shape == (2, 3, 16)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(sv[idx], singular_values(stack[idx]))
+
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError):
+            singular_values(np.ones(16))
+
 
 class TestPredicates:
     def test_structural(self):

@@ -14,6 +14,11 @@ def random_eff(rng, hermitian=False):
     return (m + m.conj().T) / 2 if hermitian else m
 
 
+def delta(theta, xi, lam=1.0):
+    """Delta at one grid point, built from P_theta and G(xi, lam)."""
+    return delta_superop(projector_superop(theta), effective_generator_full(xi, lam))
+
+
 def basis_units():
     for a in range(4):
         for b in range(4):
@@ -152,11 +157,11 @@ class TestHermitian:
 class TestDeltaSuperop:
     @pytest.mark.parametrize("xi,theta", [(0.0, 0.0), (1.0, PI4)])
     def test_matched_cases_vanish(self, xi, theta):
-        assert np.abs(delta_superop(theta, xi, 1.0)).max() <= 1e-12
+        assert np.abs(delta(theta, xi)).max() <= 1e-12
 
     @pytest.mark.parametrize("xi,theta", [(0.3, 0.0), (0.5, 0.2), (0.9, PI4)])
     def test_annihilates_relevant_states(self, xi, theta):
-        d = delta_superop(theta, xi, 1.0)
+        d = delta(theta, xi)
         p = projector_superop(theta)
         assert np.abs(d @ p).max() <= 1e-12
 
@@ -169,6 +174,15 @@ class TestChoiMatrix:
 
     def test_zero_map(self):
         assert np.abs(choi_matrix(np.zeros((16, 16)))).max() == 0.0
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(5)
+        shape = (2, 3, 16, 16)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = choi_matrix(stack)
+        assert c.shape == (2, 3, 16, 16)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(c[idx], choi_matrix(stack[idx]))
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -186,26 +200,35 @@ class TestChoiMatrix:
 class TestScanDelta:
     def test_matched_minima(self):
         grid = np.linspace(0, PI4, 16)
-        scan = scan_delta([0.0, 1.0], grid, 1.0)
-        by_xi = {round(xi, 6): (th, sv) for xi, th, sv in scan.summary}
-        th0, sv0 = by_xi[0.0]
-        th1, sv1 = by_xi[1.0]
+        max_sv = scan_delta([0.0, 1.0], grid, 1.0)[:, :, 0]
+        (th0, th1), (sv0, sv1) = grid[max_sv.argmin(axis=1)], max_sv.min(axis=1)
         assert sv0 <= 1e-10 and np.isclose(th0, 0.0)
         assert sv1 <= 1e-10 and np.isclose(th1, PI4)
 
     def test_mixed_interaction_floor(self):
         grid = np.linspace(0, PI4, 64)
-        scan = scan_delta([0.5], grid, 1.0)
-        max_svs = [sv[0] for xi, th, sv in scan.rows]
-        assert min(max_svs) > 1e-6
+        sv = scan_delta([0.5], grid, 1.0)[0]
+        assert sv[:, 0].min() > 1e-6
         # the nonzero singular values collapse onto few distinct levels
-        for xi, th, sv in scan.rows:
-            nz = sv[sv > 1e-10]
+        for row in sv:
+            nz = row[row > 1e-10]
             levels = []
             for v in nz:
                 if not levels or abs(levels[-1] - v) > 1e-9:
                     levels.append(v)
             assert len(levels) <= 3
+
+    def test_matches_per_point_calls(self):
+        # the 11 x 256 grid of the benchmark's choi-fine workload
+        xis = [i / 10 for i in range(11)]
+        grid = np.linspace(0.0, PI4, 256)
+        sv = scan_delta(xis, grid, 1.0)
+        assert sv.shape == (11, 256, 16)
+        assert np.all(np.diff(sv, axis=-1) <= 0.0)
+        for i, xi in enumerate(xis):
+            for k in range(0, 256, 16):
+                assert np.array_equal(sv[i, k], singular_values(choi_matrix(
+                    delta(grid[k], xi))))
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
