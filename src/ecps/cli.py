@@ -25,15 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, SCHEMA_VERSION, end_time, environment_spec,
+from .config import (ConfigError, SCHEMA_VERSION, end_time, environment_state,
                      load_config, model_params, n_realizations, system_matrix,
                      theta_tag, time_grid, with_overrides)
 from .exact import (ensemble_average, evolve_exact, realization_seeds,
                     reduced_from_sector, sector_variables)
 from .model import build_hamiltonian, initial_state, sample_couplings
 from .superop import apply_superop, projector_superop, scan_delta, tcl_generator
-from .tcl import (DivergenceError, EcpsComponent, HomogeneityError, ecps_evolve,
-                  solve_tcl, steady_state)
+from .tcl import (DivergenceError, HomogeneityError, ecps_evolve, solve_tcl,
+                  steady_state)
 
 RNG_ALGORITHM = "numpy Philox4x64-10 (counter-based), keyed via SeedSequence"
 
@@ -73,16 +73,16 @@ def _write_metadata(out_dir: Path, cfg: dict, params, extra: dict):
 
 
 def _initial_pieces(cfg: dict):
-    """List of (weight, system 2x2, env spec, theta-or-None) for the initial
-    state; single-state configs give one entry with weight 1. The config
-    check has already vetted weights and states."""
+    """List of (weight, system 2x2, environment 2x2, theta-or-None) for the
+    initial state; single-state configs give one entry with weight 1. The
+    config check has already vetted weights and states."""
     if "ecps" in cfg:
         return [(float(c["weight"]), system_matrix(c["system"]),
-                 environment_spec(c["environment"]), float(c["theta"]))
+                 environment_state(c["environment"]), float(c["theta"]))
                 for c in cfg["ecps"]]
     init = cfg["initial_state"]
     return [(1.0, system_matrix(init["system"]),
-             environment_spec(init["environment"]), None)]
+             environment_state(init["environment"]), None)]
 
 
 def _initial_states(pieces, params):
@@ -107,8 +107,8 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
 
     exact = ensemble_average(params, n_real, run_one)
 
-    def curve(traj):
-        s = traj.system_states
+    def curve(states):
+        s = reduced_from_sector(states)
         return [s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag]
 
     thetas = [float(t) for t in cfg.get("projectors", [0.0, np.pi / 4])]
@@ -123,9 +123,8 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
         projected = apply_superop(projector_superop(th), eff0)
         columns += curve(solve_tcl(k, projected, times, th))
     if "ecps" in cfg:
-        comps = [EcpsComponent(w, eff, th) for w, eff, th in effs]
         header += ["ecps_rho00", "ecps_rho01_re", "ecps_rho01_im"]
-        columns += curve(ecps_evolve(comps, params.xi, lam, times))
+        columns += curve(ecps_evolve(effs, params.xi, lam, times))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "compare.csv"
@@ -183,23 +182,22 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
 
     rho_pop = np.diag([p_exc, 1.0 - p_exc]).astype(complex)
     rho_coh = 0.5 * np.array([[1.0, coh], [np.conj(coh), 1.0]], dtype=complex)
-    eff0, effs = _initial_states([(p1, rho_pop, "maximally_mixed", 0.0),
-                                  (1.0 - p1, rho_coh, "plus_projector", pi4)],
-                                 params)
+    eff0, effs = _initial_states([
+        (p1, rho_pop, environment_state({"kind": "maximally_mixed"}), 0.0),
+        (1.0 - p1, rho_coh, environment_state({"kind": "plus_projector"}), pi4)], params)
 
     def run_one(p):
         return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0,
                             np.array([0.0, t_inf]))
 
-    exact = ensemble_average(params, n_real, run_one).system_states[-1]
+    exact = reduced_from_sector(ensemble_average(params, n_real, run_one)[-1])
 
     k4 = tcl_generator(pi4, params.xi, lam)
     cps = steady_state(k4, apply_superop(projector_superop(pi4), eff0), pi4)
     cps_sys = reduced_from_sector(cps)
 
-    comps = [EcpsComponent(w, eff, th) for w, eff, th in effs if w > 0]
-    ecps_eff = sum(c.weight * steady_state(tcl_generator(c.theta, params.xi, lam),
-                                           c.state, c.theta) for c in comps)
+    ecps_eff = sum(w * steady_state(tcl_generator(th, params.xi, lam), eff, th)
+                   for w, eff, th in effs if w > 0)
     ecps_sys = reduced_from_sector(ecps_eff)
 
     labels = ["rho00", "rho11", "rho01_re", "rho01_im"]

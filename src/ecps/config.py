@@ -7,12 +7,14 @@ errors carry the offending path.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import yaml
 from jsonschema import Draft202012Validator
 
 from .linalg import is_density
-from .model import ModelParams
+from .model import ModelParams, branch_rotation
 from .tcl import WEIGHT_TOL
 
 SCHEMA_VERSION = 1
@@ -109,7 +111,8 @@ CONFIG_SCHEMA = {
         "choi_scan": {
             "type": "object",
             "properties": {
-                "xi_values": {"type": "array", "items": _NUMBER, "minItems": 1},
+                "xi_values": {"type": "array", "minItems": 1,
+                              "items": {"type": "number", "minimum": 0, "maximum": 1}},
                 "theta_points": {"type": "integer", "minimum": 1},
                 "theta_max": {"type": "number", "exclusiveMinimum": 0},
                 "lam": {"type": "number", "exclusiveMinimum": 0},
@@ -257,7 +260,7 @@ def system_matrix(spec: dict) -> np.ndarray:
     kind = spec["kind"]
     if kind == "ket":
         amps = np.asarray(spec["amplitudes"], dtype=float)
-        norm = np.linalg.norm(amps)
+        norm = math.hypot(*amps)        # no underflow of tiny amplitudes
         if norm == 0:
             raise ConfigError("ket amplitudes must not both vanish")
         amps = amps / norm
@@ -271,12 +274,17 @@ def system_matrix(spec: dict) -> np.ndarray:
     raise ConfigError(f"unknown system state kind {kind!r}")
 
 
-def environment_spec(spec: dict):
-    """Translate a config environment spec into the model-level form."""
-    kind = spec["kind"]
-    if kind == "branch_projector":
-        return ("branch_projector", float(spec["theta"]), int(spec.get("branch", 1)))
-    return kind
+def environment_state(spec: dict) -> np.ndarray:
+    """2 x 2 branch state of every environment level from a config
+    environment spec: I/2 for ``maximally_mixed``, else u_b u_b^dagger for
+    the column u_b of u = ``branch_rotation(theta)``; ``plus_projector`` is
+    theta = pi/4, branch 1, and ``branch_projector`` defaults to branch 1."""
+    if spec["kind"] == "maximally_mixed":
+        return np.eye(2, dtype=complex) / 2
+    theta, branch = (np.pi / 4, 1) if spec["kind"] == "plus_projector" else \
+        (float(spec["theta"]), int(spec.get("branch", 1)))
+    col = branch_rotation(theta)[:, branch - 1]
+    return np.outer(col, col.conj())
 
 
 def end_time(cfg: dict, params: ModelParams) -> float:

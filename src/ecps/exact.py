@@ -9,6 +9,10 @@ state and the sector variables are identical in the Schroedinger and
 interaction pictures; trajectories can therefore be compared directly with the
 master-equation solutions, which are derived in the interaction picture.
 
+Return values are plain arrays: ``evolve_exact`` and ``ensemble_average``
+return the (T, 4, 4) effective states (theta = 0) at the T requested times,
+and ``reduced_from_sector`` maps them to the (T, 2, 2) system states.
+
 Sector variables: for a branch basis rotated by theta, the effective state is
 the 4x4 matrix of level-summed ("collective") matrix elements
 
@@ -62,28 +66,10 @@ and K_rc, rho_e and the phases are needed only on spans[r] x spans[c].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
 from .model import ModelParams
-
-
-@dataclass
-class Trajectory:
-    """Time series of effective states, exact or projected.
-
-    states has shape (T, 4, 4): the effective state in the unrotated branch
-    basis (theta = 0). system_states, shape (T, 2, 2), is its reduced state.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def system_states(self) -> np.ndarray:
-        return reduced_from_sector(self.states)
 
 
 def sector_variables(rho: np.ndarray) -> np.ndarray:
@@ -185,9 +171,10 @@ def _block_eigen(h: np.ndarray):
     return w, rows, spans, bell_frame
 
 
-def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> Trajectory:
+def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
     """Evolve the level-uniform state rho0 = eff0 (x) I_N / N under ``h``,
-    rho(t) = exp(-iHt) rho0 exp(+iHt), on the given time grid.
+    rho(t) = exp(-iHt) rho0 exp(+iHt), on the given time grid, and return
+    its (T, 4, 4) effective states (theta = 0).
 
     ``eff0`` is the 4 x 4 effective initial state and must be a density
     matrix, ``h`` a Hermitian 4N x 4N matrix (both within the structural
@@ -249,7 +236,7 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> Trajectory:
         eff[:, r, c] = eff[:, c, r].conj()
     if bell_frame:
         eff = _BELL @ eff @ _BELL / 2
-    return Trajectory(times=times, states=eff)
+    return eff
 
 
 def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
@@ -258,19 +245,14 @@ def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
     return [(int(base_seed) + k) % 2 ** 64 for k in range(n_realizations)]
 
 
-def ensemble_average(params: ModelParams, n_realizations: int, run_one) -> Trajectory:
-    """Pointwise mean of trajectories over coupling realizations.
+def ensemble_average(params: ModelParams, n_realizations: int, run_one) -> np.ndarray:
+    """Pointwise mean of the effective states over coupling realizations.
 
-    ``run_one(params_k)`` must return a Trajectory on a fixed time grid;
+    ``run_one(params_k)`` must return (T, 4, 4) effective states of one T;
     realization k runs with the k-th derived seed (realization 0 reuses the
     base seed, so n_realizations=1 reproduces a single run exactly).
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     seeds = realization_seeds(params.seed, n_realizations)
-    trajs = [run_one(params.with_seed(s)) for s in seeds]
-    times = trajs[0].times
-    for t in trajs[1:]:
-        if not np.array_equal(t.times, times):
-            raise ValueError("realizations must share one time grid")
-    return Trajectory(times=times, states=np.mean([t.states for t in trajs], axis=0))
+    return np.mean([run_one(params.with_seed(s)) for s in seeds], axis=0)

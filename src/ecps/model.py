@@ -78,16 +78,8 @@ class ModelParams:
         return replace(self, seed=int(seed))
 
 
-@dataclass(frozen=True)
-class CouplingSet:
-    """One draw of the two independent N x N complex Gaussian coupling matrices."""
-
-    c: np.ndarray
-    c_prime: np.ndarray
-
-
-def sample_couplings(params: ModelParams) -> CouplingSet:
-    """Draw both coupling matrices for one realization.
+def sample_couplings(params: ModelParams):
+    """Draw both N x N coupling matrices (c, c_prime) for one realization.
 
     Entries are (x + iy)/sqrt(2) with x, y standard normal, so
     <|c|^2> = 1 and <c^2> = 0. The branch-channel matrix ``c`` is drawn
@@ -100,11 +92,11 @@ def sample_couplings(params: ModelParams) -> CouplingSet:
     def draw():
         return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
-    return CouplingSet(c=draw(), c_prime=draw())
+    return draw(), draw()          # c first, then c_prime
 
 
-def build_v(params: ModelParams, couplings: CouplingSet):
-    """Interaction terms (v1, v2), both Hermitian 4N x 4N matrices.
+def build_v(params: ModelParams, couplings):
+    """Hermitian 4N x 4N interaction terms (v1, v2) of couplings (c, c_prime).
 
     v1 = (1-xi) * (SIGMA_PLUS (x) B + h.c.) moves branch 2 -> 1,
     v2 = xi * (SIGMA_PLUS_X (x) B' + h.c.) moves branch - -> + in the
@@ -121,15 +113,16 @@ def build_v(params: ModelParams, couplings: CouplingSet):
     channel of weight 0 (v2 at xi = 0, v1 at xi = 1) is left unfilled.
     """
     n = params.n_levels
+    c, c_prime = couplings
     v1 = np.zeros((4 * n, 4 * n), dtype=complex)
     # axes (l, n1, j, m, n2, k) of the composite row and column indices
     v2 = np.zeros((2, n, 2, 2, n, 2), dtype=complex)
     if params.xi < 1:
-        c = (1.0 - params.xi) * couplings.c
+        c = (1.0 - params.xi) * c
         v1[2 * n::2, 1:2 * n:2] = c
         v1[1:2 * n:2, 2 * n::2] = c.conj().T
     if params.xi > 0:
-        g = 0.25j * params.xi * couplings.c_prime
+        g = 0.25j * params.xi * c_prime
         plus, minus = g + g.conj().T, g - g.conj().T
         s, t = (-1.0, 1.0), (1.0, -1.0)
         for l, j, m, k in np.ndindex(2, 2, 2, 2):
@@ -138,7 +131,7 @@ def build_v(params: ModelParams, couplings: CouplingSet):
     return v1, v2.reshape(4 * n, 4 * n)
 
 
-def build_hamiltonian(params: ModelParams, couplings: CouplingSet) -> np.ndarray:
+def build_hamiltonian(params: ModelParams, couplings) -> np.ndarray:
     """Total Hamiltonian H0 + alpha * (v1 + v2).
 
     The free Hamiltonian H0 is diagonal, with energy delta_eps * n / N for
@@ -167,40 +160,13 @@ def branch_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def build_projector(theta: float, branch: int, params: ModelParams) -> np.ndarray:
-    """Rank-N environment projector onto the theta-rotated branch ``branch``.
-
-    Returns the 2N x 2N matrix sum_n |n,branch,theta><n,branch,theta|.
-    The two projectors for a given theta are orthogonal and complete.
-    """
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    u = branch_rotation(theta)
-    col = u[:, branch - 1]
-    block = np.outer(col, col.conj())
-    return np.kron(np.eye(params.n_levels), block)
-
-
-def initial_state(sys: np.ndarray, env_spec, params: ModelParams) -> np.ndarray:
-    """Composite product state sys (x) (normalized environment state).
-
-    ``env_spec`` is one of
-      * ``("branch_projector", theta, branch)`` -- projector / N,
-      * ``"plus_projector"``                    -- the (theta=pi/4, branch=1) case,
-      * ``"maximally_mixed"``                   -- identity / 2N.
-
-    Raises ValueError when ``sys`` is not a density matrix.
-    """
-    sys = np.asarray(sys, dtype=complex)
-    if sys.shape != (2, 2) or not is_density(sys):
-        raise ValueError("system part must be a 2x2 density matrix")
-    if env_spec == "maximally_mixed":
-        env = np.eye(2 * params.n_levels, dtype=complex) / (2 * params.n_levels)
-    elif env_spec == "plus_projector":
-        env = build_projector(np.pi / 4, 1, params) / params.n_levels
-    elif isinstance(env_spec, tuple) and len(env_spec) == 3 and env_spec[0] == "branch_projector":
-        _, theta, branch = env_spec
-        env = build_projector(float(theta), int(branch), params) / params.n_levels
-    else:
-        raise ValueError(f"unknown environment spec {env_spec!r}")
-    return np.kron(sys, env)
+def initial_state(sys: np.ndarray, env: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Level-uniform composite state sys (x) I_N (x) env / N from the 2 x 2
+    system state and the 2 x 2 branch state of every level (see
+    ``config.environment_state``). Raises ValueError when either is not a
+    2 x 2 density matrix."""
+    sys, env = np.asarray(sys, dtype=complex), np.asarray(env, dtype=complex)
+    for part, m in (("system", sys), ("environment", env)):
+        if m.shape != (2, 2) or not is_density(m):
+            raise ValueError(f"{part} part must be a 2x2 density matrix")
+    return np.kron(sys, np.kron(np.eye(params.n_levels), env) / params.n_levels)

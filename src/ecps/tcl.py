@@ -1,6 +1,9 @@
 """Homogeneous second-order master-equation solver on the effective space,
 plus the combinator that evolves each component of a separable initial state
-under its own projector and sums the reduced trajectories.
+under its own projector and sums the effective states.
+
+Components are ``(weight, 4 x 4 effective state, projector angle theta)``
+triples, and both solvers return the (T, 4, 4) effective states.
 
 The projected generators (:func:`ecps.superop.tcl_generator`) are Hermitian
 as 16 x 16 matrices, so their eigenvectors are orthonormal and the long-time
@@ -16,12 +19,9 @@ apply the projector first (see :func:`ecps.superop.projector_superop`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
-from .exact import Trajectory
 from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
 from .superop import (apply_superop, projector_superop, tcl_generator, unvec,
                       vec)
@@ -44,16 +44,6 @@ class DivergenceError(RuntimeError):
     """Generator has a spectral component growing in time; no steady state."""
 
 
-@dataclass(frozen=True)
-class EcpsComponent:
-    """One component of a separable decomposition: probability weight, its
-    effective state, and the projector angle assigned to it."""
-
-    weight: float
-    state: np.ndarray
-    theta: float
-
-
 def _require_homogeneous(rho0: np.ndarray, theta: float):
     """Raise HomogeneityError when the irrelevant part (I - P_theta) rho0
     exceeds HOMOGENEITY_TOL in max-norm."""
@@ -64,9 +54,9 @@ def _require_homogeneous(rho0: np.ndarray, theta: float):
             f"(residual {resid:.3e}); apply the projector first")
 
 
-def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> Trajectory:
-    """Propagate vec(rho(t)) = expm(K t) vec(rho0) on a uniform time grid,
-    applying the step propagator expm(K dt) once per step.
+def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarray:
+    """Propagate vec(rho(t)) = expm(K t) vec(rho0) on a uniform time grid with
+    the step propagator expm(K dt); returns the (T, 4, 4) effective states.
 
     ``times`` must be a finite uniform grid increasing from 0, or the single
     time 0; any other grid raises ValueError. ``rho0`` must already be
@@ -95,12 +85,12 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> Trajector
     vecs[0] = vec(rho0)
     for i in range(1, times.size):
         vecs[i] = step @ vecs[i - 1]
-    states = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)     # unvec of each row
-    return Trajectory(times=times, states=states)
+    return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)       # unvec of each row
 
 
-def ecps_evolve(components, xi: float, lam: float, times) -> Trajectory:
-    """Evolve each component under its own projected generator and sum.
+def ecps_evolve(components, xi: float, lam: float, times) -> np.ndarray:
+    """Evolve each (weight, state, theta) component under its own projected
+    generator and return the weighted sum of the (T, 4, 4) effective states.
 
     Every component state must be invariant under its own projector; a
     violation raises HomogeneityError naming the component. Weights must be
@@ -109,24 +99,23 @@ def ecps_evolve(components, xi: float, lam: float, times) -> Trajectory:
     components = list(components)
     if not components:
         raise ValueError("need at least one component")
-    weights = np.array([c.weight for c in components], dtype=float)
+    weights = np.array([w for w, _, _ in components], dtype=float)
     if np.any(weights <= 0):
         raise ValueError("component weights must be positive")
     if abs(weights.sum() - 1.0) > WEIGHT_TOL:
         raise ValueError(f"component weights must sum to 1, got {weights.sum()!r}")
     times = np.asarray(times, dtype=float)
     total = np.zeros((times.size, 4, 4), dtype=complex)
-    for i, comp in enumerate(components):
-        state = np.asarray(comp.state, dtype=complex)
+    for i, (weight, state, theta) in enumerate(components):
+        state = np.asarray(state, dtype=complex)
         if not is_density(state, 1e-9):
             raise ValueError(f"component {i} state is not a density matrix")
-        k = tcl_generator(comp.theta, xi, lam)
+        k = tcl_generator(theta, xi, lam)
         try:
-            sol = solve_tcl(k, state, times, comp.theta)
+            total += weight * solve_tcl(k, state, times, theta)
         except HomogeneityError as exc:
             raise HomogeneityError(f"component {i}: {exc}") from exc
-        total += comp.weight * sol.states
-    return Trajectory(times=times, states=total)
+    return total
 
 
 def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:

@@ -21,7 +21,8 @@ from ecps import (ModelParams, apply_superop, build_hamiltonian, choi_matrix,
                   ensemble_average, evolve_exact, initial_state,
                   projector_superop, sample_couplings, scan_delta,
                   sector_variables, singular_values, solve_tcl, steady_state,
-                  tcl_generator, EcpsComponent, reduced_from_sector, build_v)
+                  tcl_generator, reduced_from_sector, build_v)
+from ecps.config import environment_state
 from oracles import (choi_oracle, conserved_charge, rate_table_generator,
                      rk4_von_neumann, sector_projector, tcl2_wick_generator,
                      wick_scalar)
@@ -100,11 +101,11 @@ def test_criterion_2_projector_quality_scan():
         f"max singular-value deviation = {sv_dev}")
 
 
-def _compare_run(params, sys0, env_spec, thetas):
+def _compare_run(params, sys0, env, thetas):
     lam = params.relaxation_rate
     times = np.linspace(0.0, 5.0 / lam, 400)
     h = build_hamiltonian(params, sample_couplings(params))
-    eff0 = sector_variables(initial_state(sys0, env_spec, params))
+    eff0 = sector_variables(initial_state(sys0, environment_state(env), params))
     exact = evolve_exact(h, eff0, times)
     sols = {}
     for th in thetas:
@@ -119,11 +120,12 @@ def test_criterion_3_matched_projector_dynamics():
     start = time.time()
     p = ModelParams(n_levels=60, delta_eps=0.5, alpha=5e-3, xi=0.0, seed=20260809)
     exact, sols = _compare_run(p, np.diag([1.0, 0.0]).astype(complex),
-                               ("branch_projector", float(np.arcsin(0.6)), 1),
+                               {"kind": "branch_projector",
+                                "theta": float(np.arcsin(0.6)), "branch": 1},
                                (0.0, PI4))
-    pop_exact = exact.system_states[:, 0, 0].real
-    dev_matched = np.abs(sols[0.0].system_states[:, 0, 0].real - pop_exact).max()
-    err_mismatched = abs(sols[PI4].system_states[-1, 0, 0].real - pop_exact[-1])
+    pop_exact = reduced_from_sector(exact)[:, 0, 0].real
+    dev_matched = np.abs(reduced_from_sector(sols[0.0])[:, 0, 0].real - pop_exact).max()
+    err_mismatched = abs(reduced_from_sector(sols[PI4])[-1, 0, 0].real - pop_exact[-1])
     elapsed_a = time.time() - start
 
     # coherence discriminates at xi=1 with a superposition initial state
@@ -131,10 +133,12 @@ def test_criterion_3_matched_projector_dynamics():
     p1 = ModelParams(n_levels=60, delta_eps=0.5, alpha=5e-3, xi=1.0, seed=20260810)
     psi = np.array([0.6, 0.8])
     exact1, sols1 = _compare_run(p1, np.outer(psi, psi).astype(complex),
-                                 ("branch_projector", 0.0, 1), (0.0, PI4))
-    coh_exact = np.abs(exact1.system_states[:, 0, 1])
-    dev_matched_1 = np.abs(np.abs(sols1[PI4].system_states[:, 0, 1]) - coh_exact).max()
-    err_mismatched_1 = abs(abs(sols1[0.0].system_states[-1, 0, 1]) - coh_exact[-1])
+                                 {"kind": "branch_projector", "theta": 0.0, "branch": 1},
+                                 (0.0, PI4))
+    coh_exact = np.abs(reduced_from_sector(exact1)[:, 0, 1])
+    dev_matched_1 = np.abs(np.abs(reduced_from_sector(sols1[PI4])[:, 0, 1])
+                           - coh_exact).max()
+    err_mismatched_1 = abs(abs(reduced_from_sector(sols1[0.0])[-1, 0, 1]) - coh_exact[-1])
     elapsed_b = time.time() - start_b
 
     ok = (dev_matched <= 0.05 and err_mismatched >= 0.1
@@ -160,36 +164,37 @@ def test_criterion_4_steady_state_experiment():
     t_inf = 50.0 / lam
     rho_pop = np.diag([p_exc, 1 - p_exc]).astype(complex)
     rho_coh = 0.5 * np.array([[1.0, coh], [coh, 1.0]], dtype=complex)
+    mixed = environment_state({"kind": "maximally_mixed"})
+    plus = environment_state({"kind": "plus_projector"})
 
     def run_component1(p):
         h = build_hamiltonian(p, sample_couplings(p))
-        eff0 = sector_variables(initial_state(rho_pop, "maximally_mixed", p))
+        eff0 = sector_variables(initial_state(rho_pop, mixed, p))
         return evolve_exact(h, eff0, np.array([0.0, t_inf]))
 
     exact_c1 = ensemble_average(params, 4, run_component1)
-    pops_c1 = np.diag(exact_c1.system_states[-1]).real
+    pops_c1 = np.diag(reduced_from_sector(exact_c1[-1])).real
     closed_form = np.array([(1 + 2 * p_exc) / 4, (3 - 2 * p_exc) / 4])
     dev_c1 = np.abs(pops_c1 - closed_form).max()
 
     def run_mixture(p):
         h = build_hamiltonian(p, sample_couplings(p))
-        rho0 = (p1_weight * initial_state(rho_pop, "maximally_mixed", p)
-                + (1 - p1_weight) * initial_state(rho_coh, "plus_projector", p))
+        rho0 = (p1_weight * initial_state(rho_pop, mixed, p)
+                + (1 - p1_weight) * initial_state(rho_coh, plus, p))
         return evolve_exact(h, sector_variables(rho0), np.array([0.0, t_inf]))
 
     exact_mix = ensemble_average(params, 4, run_mixture)
-    pops_exact = np.diag(exact_mix.system_states[-1]).real
+    pops_exact = np.diag(reduced_from_sector(exact_mix[-1])).real
 
-    eff_pop = sector_variables(initial_state(rho_pop, "maximally_mixed", params))
-    eff_coh = sector_variables(initial_state(rho_coh, "plus_projector", params))
+    eff_pop = sector_variables(initial_state(rho_pop, mixed, params))
+    eff_coh = sector_variables(initial_state(rho_coh, plus, params))
     k4 = tcl_generator(PI4, 0.0, lam)
     full = p1_weight * eff_pop + (1 - p1_weight) * eff_coh
     cps = reduced_from_sector(
         steady_state(k4, apply_superop(projector_superop(PI4), full), PI4))
-    ecps_sol = ecps_evolve([EcpsComponent(p1_weight, eff_pop, 0.0),
-                            EcpsComponent(1 - p1_weight, eff_coh, PI4)],
+    ecps_sol = ecps_evolve([(p1_weight, eff_pop, 0.0), (1 - p1_weight, eff_coh, PI4)],
                            0.0, lam, np.array([0.0, t_inf]))
-    ecps_pops = np.diag(ecps_sol.system_states[-1]).real
+    ecps_pops = np.diag(reduced_from_sector(ecps_sol[-1])).real
 
     err_cps = np.abs(np.diag(cps).real - pops_exact).max()
     err_ecps = np.abs(ecps_pops - pops_exact).max()
@@ -247,7 +252,7 @@ def test_criterion_5_property_suites():
     p = ModelParams(n_levels=4, delta_eps=0.5, alpha=0.1, xi=0.0, seed=7)
     h = build_hamiltonian(p, sample_couplings(p))
     rho0 = initial_state(np.diag([1.0, 0.0]).astype(complex),
-                         ("branch_projector", 0.4, 1), p)
+                         environment_state({"kind": "branch_projector", "theta": 0.4}), p)
     charge = conserved_charge(p.n_levels)
     from ecps import eig_hermitian
     w, v = eig_hermitian(h)
@@ -266,12 +271,12 @@ def test_criterion_5_property_suites():
     # integrator cross-check at N=2
     p2 = ModelParams(n_levels=2, delta_eps=0.5, alpha=0.2, xi=0.3, seed=5)
     h2 = build_hamiltonian(p2, sample_couplings(p2))
-    rho2 = initial_state(np.diag([1.0, 0.0]).astype(complex),
-                         ("branch_projector", 0.0, 1), p2)
-    traj = evolve_exact(h2, sector_variables(rho2), np.array([0.0, 2.0]))
+    branch_1 = environment_state({"kind": "branch_projector", "theta": 0.0})
+    rho2 = initial_state(np.diag([1.0, 0.0]).astype(complex), branch_1, p2)
+    states = evolve_exact(h2, sector_variables(rho2), np.array([0.0, 2.0]))
     rho_rk4 = rk4_von_neumann(h2, rho2, 2.0, 1e-3)
     checks["rk4 equivalence"] = np.abs(
-        traj.states[-1] - sector_variables(rho_rk4)).max() <= 1e-6
+        states[-1] - sector_variables(rho_rk4)).max() <= 1e-6
 
     # choi round trip
     s = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -285,7 +290,7 @@ def test_criterion_5_property_suites():
 
     # coupling moments
     pm = ModelParams(n_levels=100, delta_eps=0.5, alpha=1.0, xi=0.5, seed=0)
-    entries = np.concatenate([sample_couplings(pm.with_seed(5000 + s)).c.ravel()
+    entries = np.concatenate([sample_couplings(pm.with_seed(5000 + s))[0].ravel()
                               for s in range(10)])
     checks["coupling moments"] = (abs(np.mean(np.abs(entries) ** 2) - 1.0) <= 0.02
                                   and abs(np.mean(entries * entries)) <= 0.02)
@@ -315,8 +320,8 @@ def test_criterion_6_effective_space_faithfulness():
         p = params.with_seed(100000 + s)
         h = build_hamiltonian(p, sample_couplings(p))
         # x is propagated as the level-uniform state x (x) I_N / N
-        traj = evolve_exact(h, x, np.array([0.0, t1, t2]))
-        estimates[s] = (traj.states[2] - traj.states[1]) / (t2 - t1)
+        states = evolve_exact(h, x, np.array([0.0, t1, t2]))
+        estimates[s] = (states[2] - states[1]) / (t2 - t1)
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(draws)
     dev = np.abs(mean - predicted)

@@ -139,6 +139,22 @@ class TestValidate:
         assert "config error" in err and "config invalid at $" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("xi", [2.0, -0.5])
+    def test_xi_value_out_of_range_exit_2(self, tmp_path, capsys, xi):
+        cfg = write_cfg(tmp_path, TestChoiScan.cfg([xi]))
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["choi-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "['xi_values'][0]" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_vanishing_ket_exit_2(self, tmp_path, capsys):
+        cfg_dict = compare_cfg()
+        cfg_dict["initial_state"]["system"]["amplitudes"] = [0.0, 0.0]
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert "ket amplitudes must not both vanish" in capsys.readouterr().err
+
     @pytest.mark.parametrize("experiment, alpha", [
         ("compare", 1e155), ("compare", 1e-160), ("steady-state", 1e-160)],
         ids=["compare-rate-overflows", "compare-end-time-overflows",
@@ -192,6 +208,21 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "compare.csv").read_bytes() == (out2 / "compare.csv").read_bytes()
         assert (out1 / "metadata.json").read_bytes() == (out2 / "metadata.json").read_bytes()
+
+    @pytest.mark.parametrize("tiny, unit", [([1.0e-200, 0.0], [1.0, 0.0]),
+                                            ([0.0, 1.0e-200], [0.0, 1.0])],
+                             ids=["1e-200,0", "0,1e-200"])
+    def test_tiny_ket_amplitudes_normalize(self, tmp_path, tiny, unit):
+        # the squares of the amplitudes underflow to 0; their norm does not
+        csvs = []
+        for amplitudes in (tiny, unit):
+            cfg_dict = compare_cfg()
+            cfg_dict["initial_state"]["system"]["amplitudes"] = amplitudes
+            cfg = write_cfg(tmp_path, cfg_dict, name=f"{amplitudes}.yaml")
+            out = tmp_path / str(amplitudes)
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+            csvs.append((out / "compare.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, compare_cfg())

@@ -10,6 +10,7 @@ from oracles import (PHI_PLUS, SECTOR_THETAS, conserved_charge,
                      embed_level_uniform, evolve_exact_dense, index_blocks,
                      partial_trace, phi_plus_projector, rk4_von_neumann,
                      rotate_sector)
+from test_model import env_state
 
 PI4 = np.pi / 4
 
@@ -25,7 +26,7 @@ def setup(p, sys=None, env=("branch_projector", 0.0, 1)):
     h = build_hamiltonian(p, cpl)
     if sys is None:
         sys = np.diag([1.0, 0.0]).astype(complex)
-    rho0 = initial_state(sys, env, p)
+    rho0 = initial_state(sys, env_state(env), p)
     return h, rho0
 
 
@@ -34,7 +35,7 @@ class TestSectorVariables:
         p = params(n_levels=6)
         theta = 0.42
         rho = initial_state(np.diag([1.0, 0.0]).astype(complex),
-                            ("branch_projector", theta, 1), p)
+                            env_state(("branch_projector", theta, 1)), p)
         eff = rotate_sector(sector_variables(rho), theta)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0  # (system 0, first rotated branch)
@@ -44,7 +45,7 @@ class TestSectorVariables:
     def test_mixed_environment_is_rotation_invariant(self, theta):
         p = params(n_levels=6)
         rho = initial_state(np.diag([1.0, 0.0]).astype(complex),
-                            "maximally_mixed", p)
+                            env_state("maximally_mixed"), p)
         eff = rotate_sector(sector_variables(rho), theta)
         expected = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         assert np.abs(eff - expected).max() <= 1e-12
@@ -72,26 +73,28 @@ class TestEvolveExact:
     def test_initial_time_reduction(self):
         p = params()
         h, rho0 = setup(p)
-        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 5, 7))
+        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 5, 7))
         direct = partial_trace(rho0, [2, 2 * p.n_levels], keep=0)
-        assert np.abs(traj.system_states[0] - direct).max() <= 1e-12
+        assert np.abs(reduced_from_sector(states)[0] - direct).max() <= 1e-12
 
     def test_decoupled_limit_is_constant(self):
         p = params(alpha=0.0)
         h, rho0 = setup(p, sys=np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))
-        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 50, 9))
-        spread = np.abs(traj.system_states - traj.system_states[0]).max()
+        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 50, 9))
+        system = reduced_from_sector(states)
+        spread = np.abs(system - system[0]).max()
         assert spread <= 1e-12
 
     def test_matches_rk4(self):
         p = params(n_levels=2, alpha=0.2, seed=5)
         h, rho0 = setup(p)
         t_final = 2.0
-        traj = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
+        states = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
         rho_rk4 = rk4_von_neumann(h, rho0, t_final, dt=1e-3)
         eff = sector_variables(rho_rk4)
-        assert np.abs(traj.states[-1] - eff).max() <= 1e-6
-        assert np.abs(traj.system_states[-1] - reduced_from_sector(eff)).max() <= 1e-6
+        assert np.abs(states[-1] - eff).max() <= 1e-6
+        assert np.abs(reduced_from_sector(states[-1])
+                      - reduced_from_sector(eff)).max() <= 1e-6
 
     def test_conservation_laws(self):
         p = params(n_levels=4, xi=0.0, alpha=0.1)
@@ -100,7 +103,7 @@ class TestEvolveExact:
         w, v = eig_hermitian(h)
         rho_e = v.conj().T @ rho0 @ v
         times = np.linspace(0, 40, 9)
-        traj = evolve_exact(h, sector_variables(rho0), times)
+        states = evolve_exact(h, sector_variables(rho0), times)
         energy0 = np.trace(h @ rho0).real
         purity0 = np.trace(rho0 @ rho0).real
         charge0 = np.trace(charge @ rho0).real
@@ -115,7 +118,7 @@ class TestEvolveExact:
             assert abs(np.trace(charge @ rho_t).real - charge0) <= 1e-9
             # trajectory extraction agrees with the direct propagation
             sys_t = partial_trace(rho_t, [2, 2 * p.n_levels], keep=0)
-            assert np.abs(traj.system_states[k] - sys_t).max() <= 1e-10
+            assert np.abs(reduced_from_sector(states)[k] - sys_t).max() <= 1e-10
 
     @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("n_levels", [1, 3, 60])
@@ -125,8 +128,8 @@ class TestEvolveExact:
         p = params(n_levels=n_levels, xi=xi, alpha=0.3)
         h, rho0 = setup(p, sys=np.array([[0.6, 0.2 + 0.3j], [0.2 - 0.3j, 0.4]]),
                         env="plus_projector")
-        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 40, 9))
-        pop = np.einsum('i,tij,j->t', PHI_PLUS, traj.states, PHI_PLUS)
+        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 40, 9))
+        pop = np.einsum('i,tij,j->t', PHI_PLUS, states, PHI_PLUS)
         expected = np.trace(phi_plus_projector(n_levels) @ rho0)
         assert abs(expected - 0.35) <= 1e-12
         assert np.abs(pop - expected).max() <= 1e-12
@@ -134,8 +137,8 @@ class TestEvolveExact:
     def test_reduced_states_stay_physical(self):
         p = params(alpha=0.08)
         h, rho0 = setup(p)
-        traj = evolve_exact(h, sector_variables(rho0), np.linspace(0, 60, 25))
-        for rho_a in traj.system_states:
+        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 60, 25))
+        for rho_a in reduced_from_sector(states):
             assert abs(np.trace(rho_a) - 1.0) <= 1e-9
             assert np.abs(rho_a - rho_a.conj().T).max() <= 1e-9
             assert np.linalg.eigvalsh(rho_a).min() >= -1e-9
@@ -193,13 +196,13 @@ class TestEigenbasisReadout:
 
     def _check(self, p, env, times):
         h, rho0 = setup(p, sys=self.SYS, env=env)
-        traj = evolve_exact(h, sector_variables(rho0), times)
+        states = evolve_exact(h, sector_variables(rho0), times)
         system, sectors = evolve_exact_dense(h, rho0, times, self.THETAS)
-        assert traj.system_states.shape == (len(times), 2, 2)
-        assert traj.states.shape == (len(times), 4, 4)
-        assert np.abs(traj.system_states - system).max() <= 1e-12
+        assert reduced_from_sector(states).shape == (len(times), 2, 2)
+        assert states.shape == (len(times), 4, 4)
+        assert np.abs(reduced_from_sector(states) - system).max() <= 1e-12
         for th in self.THETAS:
-            assert np.abs(rotate_sector(traj.states, th) - sectors[th]).max() <= 1e-12
+            assert np.abs(rotate_sector(states, th) - sectors[th]).max() <= 1e-12
 
     @pytest.mark.parametrize("env", ENVS)
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
@@ -230,13 +233,13 @@ class TestEigenbasisReadout:
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         for x in (m @ m.conj().T, np.outer(psi, psi.conj())):
             eff0 = x / np.trace(x).real
-            traj = evolve_exact(h, eff0, times)
+            states = evolve_exact(h, eff0, times)
             system, sectors = evolve_exact_dense(
                 h, embed_level_uniform(eff0, n_levels), times, self.THETAS)
-            assert np.abs(traj.states[0] - eff0).max() <= 1e-12
-            assert np.abs(traj.system_states - system).max() <= 1e-12
+            assert np.abs(states[0] - eff0).max() <= 1e-12
+            assert np.abs(reduced_from_sector(states) - system).max() <= 1e-12
             for th in self.THETAS:
-                assert np.abs(rotate_sector(traj.states, th)
+                assert np.abs(rotate_sector(states, th)
                               - sectors[th]).max() <= 1e-12
 
     # (system (x) branch) couplings whose pair blocks interleave in the pair
@@ -262,15 +265,15 @@ class TestEigenbasisReadout:
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         eff0 = m @ m.conj().T
         eff0 /= np.trace(eff0).real
-        sizes, traj = TestBlocks._block_sizes(
-            monkeypatch, h, embed_level_uniform(eff0, n_levels),
-            [0.0, 0.1, 0.35, 2.0, 7.5])
+        times = np.array([0.0, 0.1, 0.35, 2.0, 7.5])
+        sizes, states = TestBlocks._block_sizes(
+            monkeypatch, h, embed_level_uniform(eff0, n_levels), times)
         assert sizes == [2 * n_levels, 2 * n_levels]     # the plain frame
         system, sectors = evolve_exact_dense(
-            h, embed_level_uniform(eff0, n_levels), traj.times, self.THETAS)
-        assert np.abs(traj.system_states - system).max() <= 1e-12
+            h, embed_level_uniform(eff0, n_levels), times, self.THETAS)
+        assert np.abs(reduced_from_sector(states) - system).max() <= 1e-12
         for th in self.THETAS:
-            assert np.abs(rotate_sector(traj.states, th) - sectors[th]).max() <= 1e-12
+            assert np.abs(rotate_sector(states, th) - sectors[th]).max() <= 1e-12
 
 
 class TestBlocks:
@@ -288,15 +291,15 @@ class TestBlocks:
             return original(m, *args)
 
         monkeypatch.setattr(ecps.exact, "eig_hermitian", recording)
-        traj = evolve_exact(h, sector_variables(rho0), np.asarray(times))
-        return sizes, traj
+        states = evolve_exact(h, sector_variables(rho0), np.asarray(times))
+        return sizes, states
 
     def _steady_rho0(self, p):
         # the steady-state experiment's mixture: coherences between the
         # blocks (system 0-1 and branch 1-2) are all present
         mixed, coherent = self.STEADY_SYS
-        return (0.5 * initial_state(mixed, "maximally_mixed", p)
-                + 0.5 * initial_state(coherent, "plus_projector", p))
+        return (0.5 * initial_state(mixed, env_state("maximally_mixed"), p)
+                + 0.5 * initial_state(coherent, env_state("plus_projector"), p))
 
     # blocks of h in units of N: at xi = 0 in the plain frame, otherwise in
     # the Bell frame, where Phi+ (x) C^N splits off as N singletons
@@ -339,9 +342,10 @@ class TestBlocks:
     def test_decoupled_needs_no_eigh(self, monkeypatch, xi):
         p = params(n_levels=5, xi=xi, alpha=0.0)
         h, rho0 = setup(p, env="plus_projector")
-        sizes, traj = self._block_sizes(monkeypatch, h, rho0, np.linspace(0, 9, 4))
+        sizes, states = self._block_sizes(monkeypatch, h, rho0, np.linspace(0, 9, 4))
         assert sizes == []
-        assert np.abs(traj.system_states - traj.system_states[0]).max() <= 1e-15
+        system = reduced_from_sector(states)
+        assert np.abs(system - system[0]).max() <= 1e-15
 
     @pytest.mark.parametrize("xi", [0.0, 1.0, 0.5])
     def test_large_band_matches_dense_reference(self, monkeypatch, xi):
@@ -349,12 +353,12 @@ class TestBlocks:
         h = build_hamiltonian(p, sample_couplings(p))
         rho0 = self._steady_rho0(p)
         times = np.array([0.0, 50.0 / p.relaxation_rate])
-        sizes, traj = self._block_sizes(monkeypatch, h, rho0, times)
+        sizes, states = self._block_sizes(monkeypatch, h, rho0, times)
         assert sizes == [360 if 0 < xi < 1 else 240]
         system, sectors = evolve_exact_dense(h, rho0, times, SECTOR_THETAS)
-        assert np.abs(traj.system_states - system).max() <= 1e-12
+        assert np.abs(reduced_from_sector(states) - system).max() <= 1e-12
         for th in SECTOR_THETAS:
-            assert np.abs(rotate_sector(traj.states, th) - sectors[th]).max() <= 1e-12
+            assert np.abs(rotate_sector(states, th) - sectors[th]).max() <= 1e-12
 
     @pytest.mark.parametrize("xi, on_phi_plus", [(0.0, False), (1.0, False),
                                                  (0.5, True), (1.0, True)],
@@ -416,7 +420,7 @@ class TestEnsembleAverage:
         run_one = self._runner()
         avg = ensemble_average(p, 1, run_one)
         single = run_one(p)
-        assert np.abs(avg.system_states - single.system_states).max() == 0.0
+        assert np.abs(reduced_from_sector(avg) - reduced_from_sector(single)).max() == 0.0
         assert realization_seeds(p.seed, 1) == [p.seed]
 
     def test_identical_seed_copies(self):
@@ -424,20 +428,27 @@ class TestEnsembleAverage:
         run_one = self._runner()
         single = run_one(p)
         avg = ensemble_average(p, 3, lambda q: run_one(q.with_seed(p.seed)))
-        assert np.abs(avg.system_states - single.system_states).max() <= 1e-15
+        assert np.abs(reduced_from_sector(avg)
+                      - reduced_from_sector(single)).max() <= 1e-15
 
     def test_pointwise_means(self):
         p = params()
         run_one = self._runner(env="plus_projector")
         avg = ensemble_average(p, 3, run_one)
         runs = [run_one(p.with_seed(s)) for s in (p.seed, p.seed + 1, p.seed + 2)]
-        assert np.abs(runs[0].states - runs[1].states).max() > 1e-3
-        mean = np.mean([r.states for r in runs], axis=0)
-        assert np.abs(avg.states - mean).max() == 0.0
-        # system_states is reduced from the mean states; the reduction is
-        # linear, so it matches the mean of the reduced states up to rounding
-        mean = np.mean([r.system_states for r in runs], axis=0)
-        assert np.abs(avg.system_states - mean).max() <= 1e-15
+        assert np.abs(runs[0] - runs[1]).max() > 1e-3
+        mean = np.mean(runs, axis=0)
+        assert np.abs(avg - mean).max() == 0.0
+        # the reduction is linear, so reducing the mean states matches the
+        # mean of the reduced states up to rounding
+        mean = np.mean([reduced_from_sector(r) for r in runs], axis=0)
+        assert np.abs(reduced_from_sector(avg) - mean).max() <= 1e-15
+
+    def test_rejects_realizations_of_different_lengths(self):
+        p = params()
+        short, long = self._runner(times=np.linspace(0, 10, 4)), self._runner()
+        with pytest.raises(ValueError):
+            ensemble_average(p, 2, lambda q: (short if q.seed == p.seed else long)(q))
 
     def test_self_averaging_spread(self):
         # large-band instance: per-seed scatter of the final population is small
@@ -448,6 +459,6 @@ class TestEnsembleAverage:
         for k in range(8):
             q = p.with_seed(1000 + k)
             h, rho0 = setup(q, env=("branch_projector", theta0, 1))
-            traj = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
-            finals.append(traj.system_states[-1, 0, 0].real)
+            states = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
+            finals.append(reduced_from_sector(states)[-1, 0, 0].real)
         assert np.std(finals, ddof=1) <= 0.03

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecps import (ModelParams, build_hamiltonian, build_projector, build_v,
-                  initial_state, is_density, is_hermitian, sample_couplings,
-                  sector_variables)
-from ecps.model import PAULI_Z
+from ecps import (ModelParams, build_hamiltonian, build_v, initial_state,
+                  is_density, is_hermitian, sample_couplings, sector_variables)
+from ecps.config import environment_state
+from ecps.model import PAULI_Z, branch_rotation
 from oracles import (build_v_kron, conserved_charge, embed_level_uniform,
                      phi_plus_projector)
 
@@ -35,12 +35,12 @@ class TestParams:
 class TestCouplings:
     def test_deterministic(self):
         p = params()
-        a = sample_couplings(p)
-        b = sample_couplings(p)
-        assert np.array_equal(a.c, b.c)
-        assert np.array_equal(a.c_prime, b.c_prime)
-        c = sample_couplings(p.with_seed(124))
-        assert not np.array_equal(a.c, c.c)
+        a_c, a_c_prime = sample_couplings(p)
+        b_c, b_c_prime = sample_couplings(p)
+        assert np.array_equal(a_c, b_c)
+        assert np.array_equal(a_c_prime, b_c_prime)
+        c_c, _ = sample_couplings(p.with_seed(124))
+        assert not np.array_equal(a_c, c_c)
 
     def test_moments(self):
         # 1e5 entries across seeds: unit magnitude variance, vanishing
@@ -48,9 +48,9 @@ class TestCouplings:
         p = params(n_levels=100)
         cs, cps = [], []
         for s in range(10):
-            draw = sample_couplings(p.with_seed(5000 + s))
-            cs.append(draw.c.ravel())
-            cps.append(draw.c_prime.ravel())
+            c, c_prime = sample_couplings(p.with_seed(5000 + s))
+            cs.append(c.ravel())
+            cps.append(c_prime.ravel())
         c = np.concatenate(cs)
         cp = np.concatenate(cps)
         assert abs(np.mean(np.abs(c) ** 2) - 1.0) <= 0.02
@@ -111,7 +111,7 @@ class TestHamiltonians:
         p = params(n_levels=n_levels, xi=xi, seed=31 + n_levels)
         cpl = sample_couplings(p)
         v1, v2 = build_v(p, cpl)
-        o1, o2 = build_v_kron(n_levels, xi, cpl.c, cpl.c_prime)
+        o1, o2 = build_v_kron(n_levels, xi, *cpl)
         assert np.abs(v1 - o1).max() <= 1e-15
         assert np.abs(v2 - o2).max() <= 1e-15
 
@@ -144,6 +144,22 @@ class TestHamiltonians:
         assert np.linalg.norm(mean) <= 5.0 * se
 
 
+def build_projector(theta, branch, p):
+    """Rank-N environment projector sum_n |n,branch,theta><n,branch,theta|,
+    the 2N x 2N form in which initial states used to be built."""
+    col = branch_rotation(theta)[:, branch - 1]
+    return np.kron(np.eye(p.n_levels), np.outer(col, col.conj()))
+
+
+def env_state(spec):
+    """2 x 2 branch state of a config environment kind, or of a
+    ("branch_projector", theta, branch) triple."""
+    if isinstance(spec, str):
+        return environment_state({"kind": spec})
+    kind, theta, branch = spec
+    return environment_state({"kind": kind, "theta": theta, "branch": branch})
+
+
 class TestProjectors:
     def test_theta_zero_is_branch_one(self):
         p = params(n_levels=3)
@@ -173,7 +189,7 @@ class TestInitialState:
         p = params(n_levels=5)
         theta = np.arcsin(0.6)
         rho = initial_state(np.diag([1.0, 0.0]).astype(complex),
-                            ("branch_projector", theta, 1), p)
+                            env_state(("branch_projector", theta, 1)), p)
         assert is_density(rho)
         env = rho[:2 * p.n_levels, :2 * p.n_levels]  # system |0><0| block
         proj = build_projector(theta, 1, p) / p.n_levels
@@ -183,14 +199,14 @@ class TestInitialState:
         p = params(n_levels=4)
         psi = np.array([0.6, 0.8])
         rho = initial_state(np.outer(psi, psi).astype(complex),
-                            ("branch_projector", 0.0, 1), p)
+                            env_state(("branch_projector", 0.0, 1)), p)
         assert is_density(rho)
 
     @pytest.mark.parametrize("env", ["maximally_mixed", "plus_projector",
                                      ("branch_projector", 0.7, 2)])
     def test_density_for_every_spec(self, env):
         p = params(n_levels=4)
-        rho = initial_state(np.diag([0.3, 0.7]).astype(complex), env, p)
+        rho = initial_state(np.diag([0.3, 0.7]).astype(complex), env_state(env), p)
         assert is_density(rho, 1e-10)
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
@@ -206,13 +222,45 @@ class TestInitialState:
                    np.array([[0.36, 0.48], [0.48, 0.64]]),
                    np.array([[0.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.5]])]
         for sys in systems:
-            rho = initial_state(sys.astype(complex), env, p)
+            rho = initial_state(sys.astype(complex), env_state(env), p)
             embedded = embed_level_uniform(sector_variables(rho), n_levels)
             assert np.abs(rho - embedded).max() <= 1e-15
 
+    SPECS = [{"kind": "maximally_mixed"}, {"kind": "plus_projector"},
+             {"kind": "branch_projector", "theta": 0.0},
+             {"kind": "branch_projector", "theta": np.arcsin(0.6), "branch": 1},
+             {"kind": "branch_projector", "theta": 0.7, "branch": 2}]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: "-".join(map(str, s.values())))
+    @pytest.mark.parametrize("n_levels", [1, 2, 7, 60])
+    def test_matches_projector_construction(self, n_levels, spec):
+        # the 2 x 2 branch state gives bit for bit the composite state that
+        # was built from the 2N x 2N environment projector; its effective
+        # state sums N entries of 1/N, within N rounding steps of kron
+        p = params(n_levels=n_levels)
+        if spec["kind"] == "maximally_mixed":
+            env_2n = np.eye(2 * n_levels, dtype=complex) / (2 * n_levels)
+        else:
+            theta, branch = (np.pi / 4, 1) if spec["kind"] == "plus_projector" \
+                else (spec["theta"], spec.get("branch", 1))
+            env_2n = build_projector(theta, branch, p) / n_levels
+        env = environment_state(spec)
+        for sys in (np.diag([1.0, 0.0]), np.array([[0.36, 0.48], [0.48, 0.64]]),
+                    np.array([[0.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.5]])):
+            sys = sys.astype(complex)
+            rho = initial_state(sys, env, p)
+            assert np.array_equal(rho, np.kron(sys, env_2n))
+            assert np.abs(sector_variables(rho) - np.kron(sys, env)).max() \
+                <= n_levels * np.finfo(float).eps
+
     def test_rejects_non_density(self):
         p = params()
-        with pytest.raises(ValueError):
-            initial_state(np.diag([1.0, 1.0]).astype(complex), "maximally_mixed", p)
-        with pytest.raises(ValueError):
-            initial_state(np.diag([1.0, 0.0]).astype(complex), "bogus", p)
+        mixed = environment_state({"kind": "maximally_mixed"})
+        pure = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="system part"):
+            initial_state(np.diag([1.0, 1.0]).astype(complex), mixed, p)
+        for env in (np.diag([1.0, 1.0]), np.diag([1.5, -0.5]),
+                    np.array([[0.5, 0.5], [0.0, 0.5]]), np.eye(4) / 4,
+                    build_projector(0.0, 1, p) / p.n_levels):
+            with pytest.raises(ValueError, match="environment part"):
+                initial_state(pure, env, p)

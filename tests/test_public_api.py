@@ -1,6 +1,7 @@
 """The public API of ``ecps`` holds no name that only the tests use: every
 name in ``ecps.__all__`` is loaded somewhere in the package outside
-``__init__.py``."""
+``__init__.py``; and no module outside ``__init__.py`` imports a name it
+never loads."""
 import ast
 from pathlib import Path
 
@@ -9,12 +10,18 @@ import ecps
 PACKAGE = Path(ecps.__file__).resolve().parent
 
 
+def _modules():
+    """(file name, syntax tree) of every module of the package but
+    ``__init__.py``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _loaded_names():
     names = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -24,3 +31,18 @@ def _loaded_names():
 
 def test_every_public_name_is_used_inside_the_package():
     assert sorted(set(ecps.__all__) - _loaded_names()) == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for module, tree in _modules():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{module}: {name}")
+    assert unused == []

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ecps import (DivergenceError, EcpsComponent, HomogeneityError,
-                  apply_superop, ecps_evolve, projector_superop, solve_tcl,
-                  steady_state, tcl_generator, vec)
+from ecps import (DivergenceError, HomogeneityError, apply_superop,
+                  ecps_evolve, projector_superop, solve_tcl, steady_state,
+                  tcl_generator, vec)
 from ecps.exact import reduced_from_sector
 
 PI4 = np.pi / 4
@@ -24,7 +24,7 @@ class TestSolveTcl:
     def test_zero_generator_constant(self):
         rho0 = np.diag([0.2, 0.3, 0.4, 0.1]).astype(complex)
         sol = solve_tcl(np.zeros((16, 16)), rho0, np.linspace(0, 3, 5), theta=0.0)
-        assert np.abs(sol.states - rho0).max() <= 1e-14
+        assert np.abs(sol - rho0).max() <= 1e-14
 
     def test_rejects_unprojected_state(self):
         rho0 = np.kron(np.diag([1.0, 0.0]), np.ones((2, 2)) / 2).astype(complex)
@@ -39,12 +39,12 @@ class TestSolveTcl:
         k = tcl_generator(0.0, 0.0, lam)
         rho0 = sector_unit(0, 0)
         sol = solve_tcl(k, rho0, np.linspace(0, 6, 13), theta=0.0)
-        offdiag = sol.states - np.einsum(
-            'tij,ij->tij', sol.states, np.eye(4))
+        offdiag = sol - np.einsum(
+            'tij,ij->tij', sol, np.eye(4))
         assert np.abs(offdiag).max() <= 1e-12
-        pair = sol.states[:, 0, 0] + sol.states[:, 3, 3]
+        pair = sol[:, 0, 0] + sol[:, 3, 3]
         assert np.abs(pair - pair[0]).max() <= 1e-12
-        assert np.abs(np.einsum('tii->t', sol.states) - 1.0).max() <= 1e-12
+        assert np.abs(np.einsum('tii->t', sol) - 1.0).max() <= 1e-12
 
     def test_matches_adaptive_integrator(self):
         lam = 0.9
@@ -62,7 +62,7 @@ class TestSolveTcl:
                             t_eval=times, rtol=1e-11, atol=1e-13)
             assert ivp.success
             for i in range(len(times)):
-                assert np.abs(vec(sol.states[i]) - ivp.y[:, i]).max() <= 1e-8
+                assert np.abs(vec(sol[i]) - ivp.y[:, i]).max() <= 1e-8
 
     @pytest.mark.parametrize("times", [[0.0, 0.1, 0.5, 2.0], [0.5, 1.0, 1.5],
                                        [0.0, -1.0, -2.0], [0.0, 0.0, 0.0], [],
@@ -77,8 +77,8 @@ class TestSolveTcl:
     def test_single_time(self):
         rho0 = project(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), 0.0)
         sol = solve_tcl(tcl_generator(0.0, 0.2, 1.0), rho0, [0.0], theta=0.0)
-        assert sol.states.shape == (1, 4, 4)
-        assert np.abs(sol.states[0] - rho0).max() == 0.0
+        assert sol.shape == (1, 4, 4)
+        assert np.abs(sol[0] - rho0).max() == 0.0
 
     def test_trace_and_hermiticity_along_solution(self):
         rng = np.random.default_rng(12)
@@ -86,7 +86,7 @@ class TestSolveTcl:
         rho0 = project((m @ m.conj().T) / np.trace(m @ m.conj().T), PI4)
         k = tcl_generator(PI4, 0.4, 1.0)
         sol = solve_tcl(k, rho0, np.linspace(0, 10, 11), theta=PI4)
-        for s in sol.states:
+        for s in sol:
             assert abs(np.trace(s) - np.trace(rho0)) <= 1e-12
             assert np.abs(s - s.conj().T).max() <= 1e-12
 
@@ -95,60 +95,54 @@ class TestEcpsEvolve:
     def test_single_component_matches_solve_tcl(self):
         lam = 1.0
         rho0 = sector_unit(0, 0)
-        comp = EcpsComponent(weight=1.0, state=rho0, theta=0.0)
-        combined = ecps_evolve([comp], 0.0, lam, np.linspace(0, 4, 5))
+        combined = ecps_evolve([(1.0, rho0, 0.0)], 0.0, lam, np.linspace(0, 4, 5))
         k = tcl_generator(0.0, 0.0, lam)
         direct = solve_tcl(k, rho0, np.linspace(0, 4, 5), theta=0.0)
-        assert np.abs(combined.states - direct.states).max() <= 1e-14
+        assert np.abs(combined - direct).max() <= 1e-14
 
     def test_equal_split_merges(self):
         rho0 = sector_unit(0, 0)
         times = np.linspace(0, 4, 5)
-        split = ecps_evolve([EcpsComponent(0.5, rho0, 0.0),
-                             EcpsComponent(0.5, rho0, 0.0)], 0.0, 1.0, times)
-        merged = ecps_evolve([EcpsComponent(1.0, rho0, 0.0)], 0.0, 1.0, times)
-        assert np.abs(split.states - merged.states).max() <= 1e-14
+        split = ecps_evolve([(0.5, rho0, 0.0), (0.5, rho0, 0.0)], 0.0, 1.0, times)
+        merged = ecps_evolve([(1.0, rho0, 0.0)], 0.0, 1.0, times)
+        assert np.abs(split - merged).max() <= 1e-14
 
     def test_linearity_in_components(self):
         times = np.linspace(0, 5, 6)
         a = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)       # sys0 x mixed sector
         b = project(np.kron(np.eye(2) / 2, np.ones((2, 2)) / 2).astype(complex), PI4)
-        mix = ecps_evolve([EcpsComponent(0.3, a, 0.0),
-                           EcpsComponent(0.7, b, PI4)], 0.5, 1.0, times)
-        sol_a = ecps_evolve([EcpsComponent(1.0, a, 0.0)], 0.5, 1.0, times)
-        sol_b = ecps_evolve([EcpsComponent(1.0, b, PI4)], 0.5, 1.0, times)
-        lin = 0.3 * sol_a.system_states + 0.7 * sol_b.system_states
-        assert np.abs(mix.system_states - lin).max() <= 1e-12
+        mix = ecps_evolve([(0.3, a, 0.0), (0.7, b, PI4)], 0.5, 1.0, times)
+        sol_a = ecps_evolve([(1.0, a, 0.0)], 0.5, 1.0, times)
+        sol_b = ecps_evolve([(1.0, b, PI4)], 0.5, 1.0, times)
+        lin = 0.3 * reduced_from_sector(sol_a) + 0.7 * reduced_from_sector(sol_b)
+        assert np.abs(reduced_from_sector(mix) - lin).max() <= 1e-12
 
     def test_mixed_decomposition_runs(self):
         # population component under theta=0, coherent component under pi/4
         p_weight, p_exc = 0.5, 0.9
-        comp1 = EcpsComponent(p_weight,
-                              np.kron(np.diag([p_exc, 1 - p_exc]), np.eye(2) / 2).astype(complex),
-                              0.0)
+        comp1 = (p_weight,
+                 np.kron(np.diag([p_exc, 1 - p_exc]), np.eye(2) / 2).astype(complex), 0.0)
         plus = np.ones((2, 2)) / 2
-        comp2 = EcpsComponent(1 - p_weight,
-                              np.kron(0.5 * np.array([[1, 0.8], [0.8, 1]]), plus).astype(complex),
-                              PI4)
+        comp2 = (1 - p_weight,
+                 np.kron(0.5 * np.array([[1, 0.8], [0.8, 1]]), plus).astype(complex), PI4)
         sol = ecps_evolve([comp1, comp2], 0.0, 1.0, np.linspace(0, 60, 7))
-        assert abs(np.trace(sol.states[-1]) - 1.0) <= 1e-12
-        pops = np.diag(sol.system_states[-1]).real
+        assert abs(np.trace(sol[-1]) - 1.0) <= 1e-12
+        pops = np.diag(reduced_from_sector(sol[-1])).real
         assert np.allclose(pops, [0.6, 0.4], atol=1e-6)
 
     def test_names_offending_component(self):
-        good = EcpsComponent(0.5, sector_unit(0, 0), 0.0)
+        good = (0.5, sector_unit(0, 0), 0.0)
         bad_state = np.kron(np.eye(2) / 2, np.array([[0.5, 0.5], [0.5, 0.5]])).astype(complex)
-        bad = EcpsComponent(0.5, bad_state, 0.0)   # plus-sector state, wrong theta
+        bad = (0.5, bad_state, 0.0)     # plus-sector state, wrong theta
         with pytest.raises(HomogeneityError, match="component 1"):
             ecps_evolve([good, bad], 0.0, 1.0, np.linspace(0, 1, 3))
 
     def test_validates_weights(self):
-        comp = EcpsComponent(0.6, sector_unit(0, 0), 0.0)
+        comp = (0.6, sector_unit(0, 0), 0.0)
         with pytest.raises(ValueError):
             ecps_evolve([comp], 0.0, 1.0, np.linspace(0, 1, 3))
         with pytest.raises(ValueError):
-            ecps_evolve([EcpsComponent(-0.2, sector_unit(0, 0), 0.0),
-                         EcpsComponent(1.2, sector_unit(0, 0), 0.0)],
+            ecps_evolve([(-0.2, sector_unit(0, 0), 0.0), (1.2, sector_unit(0, 0), 0.0)],
                         0.0, 1.0, np.linspace(0, 1, 3))
 
 
@@ -183,7 +177,7 @@ class TestSteadyState:
         rho0 = project(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), theta)
         ss = steady_state(k, rho0, theta=theta)
         sol = solve_tcl(k, rho0, np.array([0.0, 50.0 / lam]), theta=theta)
-        assert np.abs(sol.states[-1] - ss).max() <= 1e-6
+        assert np.abs(sol[-1] - ss).max() <= 1e-6
 
     def test_agrees_with_long_time_solution_mixed(self):
         # mixed interactions have modes decaying as slowly as lam*xi^2/2, so
@@ -195,7 +189,7 @@ class TestSteadyState:
         rho0 = project(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), theta)
         ss = steady_state(k, rho0, theta=theta)
         sol = solve_tcl(k, rho0, np.array([0.0, 40.0 / gap]), theta=theta)
-        assert np.abs(sol.states[-1] - ss).max() <= 1e-6
+        assert np.abs(sol[-1] - ss).max() <= 1e-6
 
     def test_flags_divergence(self):
         k = 0.1 * np.eye(16)
