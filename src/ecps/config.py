@@ -41,9 +41,6 @@ _STATE_2X2 = {
                                  "minItems": 2, "maxItems": 2}},
     },
     "required": ["kind"],
-    "allOf": [{"if": {"properties": {"kind": {"const": kind}}},
-               "then": {"required": [field]}}
-              for kind, field in (("ket", "amplitudes"), ("diagonal", "populations"))],
     "additionalProperties": False,
 }
 _ENV_STATE = {
@@ -191,8 +188,8 @@ def _check_experiment_sections(cfg: dict):
     """What the schema cannot say: the sections each experiment needs, a
     finite relaxation rate (every experiment records it), nonzero where times
     are set in its units, finite end times, distinct TCL column tags, and
-    initial states the runners accept (density matrices, ECPS weights summing
-    to 1 within the solver's WEIGHT_TOL)."""
+    initial states the runners accept (the fields each kind reads, density
+    matrices, ECPS weights summing to 1 within the solver's WEIGHT_TOL)."""
     kind = cfg["experiment"]
     if kind == "compare":
         has_init = "initial_state" in cfg
@@ -228,9 +225,7 @@ def _check_experiment_sections(cfg: dict):
     if "initial_state" in cfg:
         pieces.append(cfg["initial_state"])
     for piece in pieces:
-        env = piece["environment"]
-        if env["kind"] == "branch_projector" and "theta" not in env:
-            raise ConfigError("branch_projector environment needs 'theta'")
+        environment_state(piece["environment"])
         if not is_density(system_matrix(piece["system"])):
             raise ConfigError("system state must be a 2 x 2 density matrix")
     if "ecps" in cfg:
@@ -255,23 +250,37 @@ def theta_tag(theta: float) -> str:
     return f"{theta / np.pi:.4f}".replace(".", "p").replace("-", "m") + "pi"
 
 
+def _fields(spec: dict, what: str, required=(), optional=()):
+    """Raise ConfigError if a state spec lacks a field its kind needs or has
+    one its kind does not read."""
+    for field in required:
+        if field not in spec:
+            raise ConfigError(f"{spec['kind']} {what} needs {field!r}")
+    stray = sorted(set(spec) - {"kind", *required, *optional})
+    if stray:
+        raise ConfigError(f"{spec['kind']} {what} does not take {', '.join(stray)}")
+
+
 def system_matrix(spec: dict) -> np.ndarray:
     """2x2 system density matrix from a config state spec."""
     kind = spec["kind"]
     if kind == "ket":
+        _fields(spec, "system state", ["amplitudes"])
         amps = np.asarray(spec["amplitudes"], dtype=float)
-        norm = math.hypot(*amps)        # no underflow of tiny amplitudes
+        # an exact power-of-two scale first: the norm neither under- nor overflows
+        amps = np.ldexp(amps, -np.frexp(np.abs(amps).max())[1])
+        norm = math.hypot(*amps)
         if norm == 0:
             raise ConfigError("ket amplitudes must not both vanish")
         amps = amps / norm
         return np.outer(amps, amps.conj()).astype(complex)
     if kind == "diagonal":
+        _fields(spec, "system state", ["populations"])
         return np.diag(np.asarray(spec["populations"], dtype=float)).astype(complex)
-    if kind == "matrix":
-        re = np.asarray(spec.get("entries_re", np.zeros((2, 2))), dtype=float)
-        im = np.asarray(spec.get("entries_im", np.zeros((2, 2))), dtype=float)
-        return re + 1j * im
-    raise ConfigError(f"unknown system state kind {kind!r}")
+    _fields(spec, "system state", optional=["entries_re", "entries_im"])
+    re = np.asarray(spec.get("entries_re", np.zeros((2, 2))), dtype=float)
+    im = np.asarray(spec.get("entries_im", np.zeros((2, 2))), dtype=float)
+    return re + 1j * im
 
 
 def environment_state(spec: dict) -> np.ndarray:
@@ -279,10 +288,14 @@ def environment_state(spec: dict) -> np.ndarray:
     environment spec: I/2 for ``maximally_mixed``, else u_b u_b^dagger for
     the column u_b of u = ``branch_rotation(theta)``; ``plus_projector`` is
     theta = pi/4, branch 1, and ``branch_projector`` defaults to branch 1."""
-    if spec["kind"] == "maximally_mixed":
-        return np.eye(2, dtype=complex) / 2
-    theta, branch = (np.pi / 4, 1) if spec["kind"] == "plus_projector" else \
-        (float(spec["theta"]), int(spec.get("branch", 1)))
+    if spec["kind"] == "branch_projector":
+        _fields(spec, "environment", ["theta"], ["branch"])
+        theta, branch = float(spec["theta"]), int(spec.get("branch", 1))
+    else:
+        _fields(spec, "environment")
+        if spec["kind"] == "maximally_mixed":
+            return np.eye(2, dtype=complex) / 2
+        theta, branch = np.pi / 4, 1
     col = branch_rotation(theta)[:, branch - 1]
     return np.outer(col, col.conj())
 

@@ -42,6 +42,7 @@ bit-identical numbers (see ``model.build_v``), and W is applied as unscaled
 butterflies and one exact halving, so the links are read off exact zeros; an
 h that the Bell frame does not split is propagated as one block. Sector
 variables are covariant under W: eff(rho) = U4 eff(W rho W) U4.
+Blocks are ordered by their first pair.
 
 Initial state: the experiments start from states in the range of the
 correlated projection, rho0 = sum_i rho_i (x) Pi_i / N_i, which are uniform
@@ -51,18 +52,20 @@ takes eff0 (U4 eff0 U4 in the Bell frame).
 
 Readout in the eigenbasis: the composite index of |l, n, j> is l*2N + 2n + j,
 and the N rows of V for the pair r = 2l + j, A_r, are nonzero only on the
-column range spans[r] of the block of r, where they are a contiguous N-row
-slice of the block's eigenvectors (the identity for a pair on its own). With
-the Gram blocks K_rc = A_r^T conj(A_c) (K_cr = K_rc^dagger) and the phases
-ph_a(t) = exp(-i w_a t), the theta = 0 entries at every time are
+eigenvector columns of the block of r, where they are N rows of the block's
+eigenvectors (the identity for a pair on its own). For a block pair (B, B'),
+B not after B', with the Gram blocks K_rc = A_r^T conj(A_c) for r in B and
+c in B' and the phases ph_a(t) = exp(-i w_a t), the theta = 0 entries are
 
-    eff[r, c](t) = sum_ab ph_a(t) M_rc[a, b] conj(ph_b(t)),
+    eff[r, c](t) = sum_ab ph_a(t) M_rc[a, b] conj(ph_b(t))   (a in B, b in B'),
     M_rc = K_rc * rho_e      (elementwise product),
-    rho_e = V^dagger rho0 V = (1/N) sum_rc eff0[r, c] conj(K_rc),
+    rho_e = (1/N) sum_{r in B, c in B'} eff0[r, c] conj(K_rc),
 
-so neither the whole V, nor rho0, nor rho_e by a matrix product, nor rho(t) is
-ever formed. Hermiticity (M_cr = M_rc^dagger) leaves the 10 entries with r <= c,
-and K_rc, rho_e and the phases are needed only on spans[r] x spans[c].
+with rho_e the B x B' block of V^dagger rho0 V, so neither the whole V, nor
+rho0, nor rho_e by a matrix product, nor rho(t) is ever formed. Hermiticity
+(M_cr = M_rc^dagger) leaves 10 entries, one per pair {r, c}: within one block
+r <= c, where rho_e also takes conj(K_cr) = K_rc^T, and across two blocks
+every r in B and c in B'.
 """
 from __future__ import annotations
 
@@ -136,9 +139,10 @@ def _block_eigen(h: np.ndarray):
     """Eigenpairs of h block by block, in the frame propagation runs in: the
     Bell frame when the plain frame links all four pairs r = 2l + j.
 
-    Returns (w, rows, spans, bell_frame). The blocks are the connected sets
-    of pairs, ordered by their first pair; spans[r] is the column range of
-    the block of pair r and rows[r] its N x width eigenvector rows of pair r.
+    Returns (blocks, bell_frame). The blocks are the connected sets of pairs,
+    ordered by their first pair, each as (pairs, w, rows): its pairs in
+    increasing order, its eigenvalues, and its eigenvector rows shaped
+    (len(pairs), N, w.size), rows[i] those of pair pairs[i].
     """
     d = h.shape[0] if h.ndim == 2 else 0
     if h.shape != (d, d) or d == 0 or d % 4 or not np.isfinite(h).all():
@@ -151,24 +155,20 @@ def _block_eigen(h: np.ndarray):
         links, reach = _pair_links(h, n)
     # index[r] is the composite index l*2N + 2n + j of (pair r, level n)
     index = np.arange(d).reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n)
-    w = np.empty(d)
-    rows, spans, start = [None] * 4, [None] * 4, 0
-    for block in dict.fromkeys(tuple(np.flatnonzero(row)) for row in reach):
-        sup = index[list(block)].ravel()
-        span = slice(start, start + sup.size)
-        if len(block) == 1 and not links[block[0], block[0]]:
+    blocks = []
+    for pairs in dict.fromkeys(tuple(np.flatnonzero(row)) for row in reach):
+        sup = index[list(pairs)].ravel()
+        if len(pairs) == 1 and not links[pairs[0], pairs[0]]:
             # a pair with no off-diagonal entry is its own eigenbasis;
             # |h_ii - conj(h_ii)| = 2 |Im h_ii|, the measure of is_hermitian
             diag = h[sup, sup]
             if not np.all(np.abs(diag.imag) <= STRUCTURAL_TOL / 2):
                 raise ValueError("evolve_exact requires a Hermitian matrix")
-            w[span], vecs = diag.real, np.eye(n, dtype=complex)
+            w, vecs = diag.real.copy(), np.eye(n, dtype=complex)
         else:
-            w[span], vecs = eig_hermitian(h[sup][:, sup])
-        for i, p in enumerate(block):
-            spans[p], rows[p] = span, vecs[i * n:(i + 1) * n]
-        start = span.stop
-    return w, rows, spans, bell_frame
+            w, vecs = eig_hermitian(h[sup][:, sup])
+        blocks.append((pairs, w, vecs.reshape(len(pairs), n, w.size)))
+    return blocks, bell_frame
 
 
 def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
@@ -197,43 +197,40 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
             or not np.all(np.diff(times) > 0) or not np.isfinite(times).all():
         raise ValueError("times must be finite and increase from 0")
 
-    w, rows, spans, bell_frame = _block_eigen(h)
-    if bell_frame:
-        eff0 = _BELL @ eff0 @ _BELL / 2
-    pairs = [(r, c) for r in range(4) for c in range(r, 4)]
-    gram = [rows[r].T @ rows[c].conj() for r, c in pairs]
-    del rows        # the eigenvectors, freed before rho_e
-    # rho_e on one span rectangle X x Y (X <= Y) at a time (a lower peak RSS
-    # than all of it), from conj(K_rc) at X x Y and K_rc^T = conj(K_cr) at Y x X
-    coef = eff0 / (w.size // 4)
-    at = [(spans[r].start, spans[c].start) for r, c in pairs]
-    size = {s.start: s.stop - s.start for s in spans}
-    for x, y in dict.fromkeys(tuple(sorted(a)) for a in at):
-        rho_e = np.zeros((size[x], size[y]), dtype=complex)
-        for (r, c), k, a in zip(pairs, gram, at):
-            if a == (x, y):
-                rho_e += coef[r, c] * k.conj()
-            if a == (y, x) and r != c:
+    blocks, bell_frame = _block_eigen(h)
+    pairs, w, rows = zip(*blocks)
+    coef = (_BELL @ eff0 @ _BELL / 2 if bell_frame else eff0) / (h.shape[0] // 4)
+    # the Gram blocks K_rc per block pair i <= j (within one block only r <= c)
+    grams = [(i, j, [(r, c, rows[i][x].T @ rows[j][y].conj())
+                     for x, r in enumerate(pairs[i]) for y, c in enumerate(pairs[j])
+                     if i < j or x <= y])
+             for i in range(len(w)) for j in range(i, len(w))]
+    del blocks, rows        # the eigenvectors, freed before rho_e
+    # rho_e on one block pair at a time (a lower peak RSS than all of it), from
+    # conj(K_rc), and within one block also conj(K_cr) = K_rc^T for r != c
+    for i, j, ks in grams:
+        rho_e = np.zeros((w[i].size, w[j].size), dtype=complex)
+        for r, c, k in ks:
+            rho_e += coef[r, c] * k.conj()
+            if i == j and r != c:
                 rho_e += coef[c, r] * k.T
-        for k, a in zip(gram, at):
-            if a in ((x, y), (y, x)):
-                k *= rho_e if a == (x, y) else rho_e.T.conj()     # M_rc
+        for _, _, k in ks:
+            k *= rho_e      # M_rc
     del rho_e
 
-    ph = np.multiply.outer(times, -1j * w)
-    np.exp(ph, out=ph)
+    ph = [np.exp(p, out=p) for p in (np.multiply.outer(times, -1j * e) for e in w)]
     # Ph M_rc reuses one buffer, so one T x width temporary is alive at a time
-    width = max(size.values())
-    phm_buf = np.empty(times.size * width, dtype=complex)
+    phm_buf = np.empty(times.size * max(e.size for e in w), dtype=complex)
     eff = np.empty((times.size, 4, 4), dtype=complex)
-    for (r, c), m in zip(pairs, gram):
-        phm = phm_buf[:times.size * m.shape[1]].reshape(times.size, -1)
-        np.matmul(ph[:, spans[r]], m, out=phm)
-        np.conjugate(phm, out=phm)
-        # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
-        entry = np.einsum('tb,tb->t', phm, ph[:, spans[c]])
-        eff[:, c, r] = entry.real if r == c else entry
-        eff[:, r, c] = eff[:, c, r].conj()
+    for i, j, ms in grams:
+        phm = phm_buf[:times.size * w[j].size].reshape(times.size, -1)
+        for r, c, m in ms:
+            np.matmul(ph[i], m, out=phm)
+            np.conjugate(phm, out=phm)
+            # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
+            entry = np.einsum('tb,tb->t', phm, ph[j])
+            eff[:, c, r] = entry.real if r == c else entry
+            eff[:, r, c] = eff[:, c, r].conj()
     if bell_frame:
         eff = _BELL @ eff @ _BELL / 2
     return eff

@@ -51,20 +51,8 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).T.reshape(-1)
 
 
-def unvec(v: np.ndarray, dim: int = EFF_DIM) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(dim, dim).T
-
-
-def spre(a: np.ndarray) -> np.ndarray:
-    """rho -> a rho."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def spost(b: np.ndarray) -> np.ndarray:
-    """rho -> rho b."""
-    b = np.asarray(b, dtype=complex)
-    return np.kron(b.T, np.eye(b.shape[0]))
+def unvec(v: np.ndarray) -> np.ndarray:
+    return np.asarray(v, dtype=complex).reshape(EFF_DIM, EFF_DIM).T
 
 
 def skron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,8 +80,8 @@ def projector_superop(theta: float) -> np.ndarray:
 def _dissipator_pair(a: np.ndarray) -> np.ndarray:
     """D_A + D_Adag with D_X(rho) = X rho X^dag - {X^dag X, rho}/2."""
     ad = a.conj().T
-    h = ad @ a + a @ ad
-    return skron(a, ad) + skron(ad, a) - 0.5 * (spre(h) + spost(h))
+    h, one = ad @ a + a @ ad, np.eye(EFF_DIM)
+    return skron(a, ad) + skron(ad, a) - 0.5 * (skron(h, one) + skron(one, h))
 
 
 def effective_generator_full(xi: float, lam: float) -> np.ndarray:

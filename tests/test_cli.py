@@ -80,13 +80,44 @@ class TestValidate:
                        for w in weights]
         return cfg
 
+    #: initial states without a field that their kind needs, or with one
+    #: that it does not read
+    FIELD_ERRORS = {
+        "ket_without_amplitudes": {"system": {"kind": "ket"}},
+        "diagonal_without_populations": {"system": {"kind": "diagonal"}},
+        "branch_projector_without_theta": {"environment": {
+            "kind": "branch_projector", "branch": 1}},
+        "plus_projector_theta_branch": {"environment": {
+            "kind": "plus_projector", "theta": 0.3, "branch": 2}},
+        "maximally_mixed_branch": {"environment": {
+            "kind": "maximally_mixed", "branch": 1}},
+        "ket_populations": {"system": {
+            "kind": "ket", "amplitudes": [1.0, 0.0], "populations": [0.2, 0.8]}},
+        "diagonal_amplitudes": {"system": {
+            "kind": "diagonal", "populations": [1.0, 0.0], "amplitudes": [1.0, 0.0]}},
+        "matrix_populations": {"system": {
+            "kind": "matrix", "entries_re": [[1.0, 0.0], [0.0, 0.0]],
+            "populations": [1.0, 0.0]}},
+        "ket_populations_plus_projector_theta_branch": {
+            "system": {"kind": "ket", "amplitudes": [1.0, 0.0],
+                       "populations": [0.2, 0.8]},
+            "environment": {"kind": "plus_projector", "theta": 0.3, "branch": 2}},
+    }
+
     @pytest.mark.parametrize("case", ["weights_sum_1e-10_short",
-                                      "weights_sum_0.9", "non_density_matrix"])
+                                      "weights_sum_0.9", "non_density_matrix",
+                                      *FIELD_ERRORS, "ecps_maximally_mixed_theta"])
     def test_configs_the_runner_rejects_exit_2(self, tmp_path, capsys, case):
         if case == "non_density_matrix":
             cfg_dict = compare_cfg()
             cfg_dict["initial_state"]["system"] = {
                 "kind": "matrix", "entries_re": [[1.0, 0.9], [0.9, 0.0]]}
+        elif case in self.FIELD_ERRORS:
+            cfg_dict = compare_cfg()
+            cfg_dict["initial_state"].update(self.FIELD_ERRORS[case])
+        elif case == "ecps_maximally_mixed_theta":
+            cfg_dict = self.ecps_cfg([0.5, 0.5])
+            cfg_dict["ecps"][1]["environment"]["theta"] = 0.3
         else:
             weight = 0.3333333333 if case == "weights_sum_1e-10_short" else 0.3
             cfg_dict = self.ecps_cfg([weight] * 3)
@@ -209,11 +240,13 @@ class TestCompare:
         assert (out1 / "compare.csv").read_bytes() == (out2 / "compare.csv").read_bytes()
         assert (out1 / "metadata.json").read_bytes() == (out2 / "metadata.json").read_bytes()
 
-    @pytest.mark.parametrize("tiny, unit", [([1.0e-200, 0.0], [1.0, 0.0]),
-                                            ([0.0, 1.0e-200], [0.0, 1.0])],
-                             ids=["1e-200,0", "0,1e-200"])
+    @pytest.mark.parametrize("tiny, unit", [
+        ([1.0e-200, 0.0], [1.0, 0.0]), ([0.0, 1.0e-200], [0.0, 1.0]),
+        ([1.0786158809173895e+308, 1.4381545078898528e+308], [0.6, 0.8])],
+        ids=["1e-200,0", "0,1e-200", "2^1024*(0.6,0.8)"])
     def test_tiny_ket_amplitudes_normalize(self, tmp_path, tiny, unit):
-        # the squares of the amplitudes underflow to 0; their norm does not
+        # the squares of the amplitudes underflow to 0 (or their sum
+        # overflows); their norm does not
         csvs = []
         for amplitudes in (tiny, unit):
             cfg_dict = compare_cfg()

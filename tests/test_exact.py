@@ -242,11 +242,15 @@ class TestEigenbasisReadout:
                 assert np.abs(rotate_sector(states, th)
                               - sectors[th]).max() <= 1e-12
 
-    # (system (x) branch) couplings whose pair blocks interleave in the pair
-    # order r = 2l + j, so that spans[r] > spans[c] for some r < c:
-    # sigma_x (x) I gives {0, 2}, {1, 3}; sigma_x (x) sigma_x gives {0, 3}, {1, 2}
-    PAIR_COUPLINGS = {"sx_id": np.kron([[0, 1], [1, 0]], np.eye(2)),
-                      "sx_sx": np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])}
+    # (system (x) branch) couplings whose pair blocks are not consecutive in
+    # the pair order r = 2l + j, so that a block pair holds pairs r > c:
+    # sigma_x (x) I gives {0, 2}, {1, 3}; sigma_x (x) sigma_x gives {0, 3}, {1, 2};
+    # pairs 0-3 only give {0, 3}, {1}, {2}, and pairs 1-3 only {0}, {1, 3}, {2};
+    # each with the number of its 2N blocks
+    PAIR_COUPLINGS = {"sx_id": (np.kron([[0, 1], [1, 0]], np.eye(2)), 2),
+                      "sx_sx": (np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]), 2),
+                      "pairs_0_3": (np.fliplr(np.diag([1, 0, 0, 1])), 1),
+                      "pairs_1_3": (np.kron([[0, 1], [1, 0]], np.diag([0, 1])), 1)}
 
     @pytest.mark.parametrize("coupling", PAIR_COUPLINGS)
     @pytest.mark.parametrize("n_levels", [1, 3])
@@ -257,7 +261,7 @@ class TestEigenbasisReadout:
         b = rng.standard_normal((n_levels, n_levels)) \
             + 1j * rng.standard_normal((n_levels, n_levels))
         levels = np.diag(np.linspace(-0.25, 0.25, n_levels)) + 0.1 * (b + b.conj().T)
-        sys_branch = self.PAIR_COUPLINGS[coupling]
+        sys_branch, n_blocks = self.PAIR_COUPLINGS[coupling]
         h = np.einsum('ljmk,nq->lnjmqk', sys_branch.reshape(2, 2, 2, 2),
                       levels).reshape(4 * n_levels, 4 * n_levels) \
             + np.kron(np.eye(2), np.kron(np.diag(np.arange(n_levels) * 0.5),
@@ -268,7 +272,7 @@ class TestEigenbasisReadout:
         times = np.array([0.0, 0.1, 0.35, 2.0, 7.5])
         sizes, states = TestBlocks._block_sizes(
             monkeypatch, h, embed_level_uniform(eff0, n_levels), times)
-        assert sizes == [2 * n_levels, 2 * n_levels]     # the plain frame
+        assert sizes == [2 * n_levels] * n_blocks     # the plain frame
         system, sectors = evolve_exact_dense(
             h, embed_level_uniform(eff0, n_levels), times, self.THETAS)
         assert np.abs(reduced_from_sector(states) - system).max() <= 1e-12

@@ -1,7 +1,8 @@
 """The public API of ``ecps`` holds no name that only the tests use: every
 name in ``ecps.__all__`` is loaded somewhere in the package outside
-``__init__.py``; and no module outside ``__init__.py`` imports a name it
-never loads."""
+``__init__.py``; every top-level function and class of a module outside
+``__init__.py`` is loaded somewhere in the package; and no such module
+imports a name it never loads."""
 import ast
 from pathlib import Path
 
@@ -31,6 +32,15 @@ def _loaded_names():
 
 def test_every_public_name_is_used_inside_the_package():
     assert sorted(set(ecps.__all__) - _loaded_names()) == []
+
+
+def test_every_definition_is_used():
+    loaded = _loaded_names()
+    unused = [f"{module}: {node.name}" for module, tree in _modules()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in loaded]
+    assert unused == []
 
 
 def test_no_unused_imports():
