@@ -3,8 +3,7 @@ diagnostics for a two-state system coupled to a two-branch energy band."""
 
 from .linalg import (STRUCTURAL_TOL, eig_hermitian, is_density, is_hermitian,
                      singular_values)
-from .model import (ModelParams, build_hamiltonian, build_v, initial_state,
-                    sample_couplings)
+from .model import ModelParams, build_hamiltonian, initial_state, sample_couplings
 from .exact import (ensemble_average, evolve_exact, realization_seeds,
                     reduced_from_sector, sector_variables)
 from .superop import (apply_superop, choi_matrix, delta_superop,
@@ -17,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivergenceError", "HomogeneityError", "ModelParams", "STRUCTURAL_TOL",
-    "apply_superop", "build_hamiltonian", "build_v", "choi_matrix",
+    "apply_superop", "build_hamiltonian", "choi_matrix",
     "delta_superop", "ecps_evolve", "effective_generator_full", "eig_hermitian",
     "ensemble_average", "evolve_exact", "initial_state", "is_density",
     "is_hermitian", "projector_superop", "realization_seeds",

@@ -3,7 +3,7 @@
 Subcommands: ``compare`` (exact vs projected master-equation dynamics),
 ``choi-scan`` (projector-quality diagnostic over a (xi, theta) grid),
 ``steady-state`` (long-time comparison for the mixed decomposition),
-``validate`` (schema check only) and ``seed-report`` (resolved RNG
+``validate`` (the runners' config check) and ``seed-report`` (resolved RNG
 provenance).
 
 All numeric output is CSV (RFC-4180-style, header row, UTF-8, floats with 17
@@ -12,7 +12,8 @@ output directory gets a metadata.json sufficient to re-run the experiment.
 Plot rendering is delegated to an emitted script so the core has no plotting
 dependency.
 
-Exit codes: 0 success, 2 config error, 3 numerical-precondition failure.
+Exit codes: 0 success; 2 usage or config error, or an output directory that
+cannot be created, before anything is computed; 3 numerical-precondition failure.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, SCHEMA_VERSION, end_time, environment_state,
-                     load_config, model_params, n_realizations, system_matrix,
+from .config import (ConfigError, SCHEMA_VERSION, end_time, initial_pieces,
+                     load_config, model_params, n_realizations, projector_thetas,
                      theta_tag, time_grid, with_overrides)
 from .exact import (ensemble_average, evolve_exact, realization_seeds,
                     reduced_from_sector, sector_variables)
@@ -72,19 +73,6 @@ def _write_metadata(out_dir: Path, cfg: dict, params, extra: dict):
         fh.write("\n")
 
 
-def _initial_pieces(cfg: dict):
-    """List of (weight, system 2x2, environment 2x2, theta-or-None) for the
-    initial state; single-state configs give one entry with weight 1. The
-    config check has already vetted weights and states."""
-    if "ecps" in cfg:
-        return [(float(c["weight"]), system_matrix(c["system"]),
-                 environment_state(c["environment"]), float(c["theta"]))
-                for c in cfg["ecps"]]
-    init = cfg["initial_state"]
-    return [(1.0, system_matrix(init["system"]),
-             environment_state(init["environment"]), None)]
-
-
 def _initial_states(pieces, params):
     """Effective 4x4 initial state and the effective state of each piece:
     (eff0, [(weight, effective state, theta-or-None), ...]). Every piece is
@@ -99,7 +87,7 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
     params = model_params(cfg)
     n_real = n_realizations(cfg)
     times = time_grid(cfg, params)
-    eff0, effs = _initial_states(_initial_pieces(cfg), params)
+    eff0, effs = _initial_states(initial_pieces(cfg), params)
     lam = params.relaxation_rate
 
     def run_one(p):
@@ -111,7 +99,7 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
         s = reduced_from_sector(states)
         return [s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag]
 
-    thetas = [float(t) for t in cfg.get("projectors", [0.0, np.pi / 4])]
+    thetas = projector_thetas(cfg)
     header = ["t", "exact_rho00", "exact_rho01_re", "exact_rho01_im"]
     columns = [times] + curve(exact)
     column_map = {}
@@ -126,7 +114,6 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
         header += ["ecps_rho00", "ecps_rho01_re", "ecps_rho01_im"]
         columns += curve(ecps_evolve(effs, params.xi, lam, times))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "compare.csv"
     _write_csv(csv_path, header, zip(*columns))
     _write_metadata(out_dir, cfg, params, {
@@ -153,7 +140,6 @@ def run_choi_scan(cfg: dict, out_dir: Path) -> list[Path]:
     sv = scan_delta(xi_values, grid, lam)
     max_sv = sv[:, :, 0]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     scan_path = out_dir / "scan.csv"
     _write_csv(scan_path,
                ["xi", "theta"] + [f"sv{i + 1}" for i in range(16)],
@@ -171,20 +157,11 @@ def run_choi_scan(cfg: dict, out_dir: Path) -> list[Path]:
 
 def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     params = model_params(cfg)
-    section = cfg["steady_state"]
-    p1 = float(section["p1"])
-    p_exc = float(section["p_excited"])
-    coh = float(section["coherence"])
     t_inf = end_time(cfg, params)
     n_real = n_realizations(cfg)
     lam = params.relaxation_rate
     pi4 = np.pi / 4
-
-    rho_pop = np.diag([p_exc, 1.0 - p_exc]).astype(complex)
-    rho_coh = 0.5 * np.array([[1.0, coh], [np.conj(coh), 1.0]], dtype=complex)
-    eff0, effs = _initial_states([
-        (p1, rho_pop, environment_state({"kind": "maximally_mixed"}), 0.0),
-        (1.0 - p1, rho_coh, environment_state({"kind": "plus_projector"}), pi4)], params)
+    eff0, effs = _initial_states(initial_pieces(cfg), params)
 
     def run_one(p):
         return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0,
@@ -206,7 +183,6 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
         return [m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag]
 
     ex, cp, ec = parts(exact), parts(cps_sys), parts(ecps_sys)
-    out_dir.mkdir(parents=True, exist_ok=True)
     steady_path = out_dir / "steady.csv"
     _write_csv(steady_path, ["quantity", "exact", "cps_pi4", "ecps",
                              "cps_abs_err", "ecps_abs_err"],
@@ -216,7 +192,8 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
         "n_realizations": n_real,
         "realization_seeds": realization_seeds(params.seed, n_real),
         "t_infinity": t_inf,
-        "p1": p1, "p_excited": p_exc, "coherence": coh,
+        **{key: float(cfg["steady_state"][key])
+           for key in ("p1", "p_excited", "coherence")},
     })
     return [steady_path, out_dir / "metadata.json"]
 
@@ -295,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--realizations", type=int, default=None)
+        if name != "choi-scan":         # the Choi scan draws no realizations
+            p.add_argument("--realizations", type=int, default=None)
     v = sub.add_parser("validate")
     v.add_argument("--config", required=True)
     s = sub.add_parser("seed-report")
@@ -325,6 +303,11 @@ def main(argv=None) -> int:
         print(f"config error: config declares experiment "
               f"{cfg['experiment']!r} but subcommand is {args.command!r}",
               file=sys.stderr)
+        return 2
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {args.out}: {exc}", file=sys.stderr)
         return 2
     try:
         files = _RUNNERS[args.command](cfg, Path(args.out))

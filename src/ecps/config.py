@@ -1,9 +1,12 @@
 """Experiment configuration: one versioned YAML schema for all subcommands.
 
-A config file selects the experiment kind, the model parameters and the
-experiment-specific sections; everything needed to re-run an experiment is
-echoed into the output metadata. Validation is delegated to a JSON schema so
-errors carry the offending path.
+A config file selects the experiment kind, the model parameters and only
+the sections that experiment reads (``_SECTIONS``): compare reads
+realizations, initial_state or ecps, projectors and time_grid; choi-scan
+reads choi_scan; steady-state reads realizations and steady_state. A JSON
+schema checks types and ranges, so errors carry the offending path; the
+experiment check then runs the runners' own readers, ``initial_pieces`` and
+``projector_thetas``. The config is echoed into the output metadata.
 """
 from __future__ import annotations
 
@@ -136,6 +139,14 @@ CONFIG_SCHEMA = {
 
 _VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
+#: the top-level sections each experiment reads besides schema_version,
+#: experiment and model; choi-scan and steady-state need their last one
+_SECTIONS = {
+    "compare": ("realizations", "initial_state", "ecps", "projectors", "time_grid"),
+    "choi-scan": ("choi_scan",),
+    "steady-state": ("realizations", "steady_state"),
+}
+
 
 def load_config(path) -> dict:
     """Read and validate a YAML config; raise ConfigError with the offending
@@ -185,25 +196,25 @@ def _floats(node, where="$"):
 
 
 def _check_experiment_sections(cfg: dict):
-    """What the schema cannot say: the sections each experiment needs, a
-    finite relaxation rate (every experiment records it), nonzero where times
-    are set in its units, finite end times, distinct TCL column tags, and
-    initial states the runners accept (the fields each kind reads, density
-    matrices, ECPS weights summing to 1 within the solver's WEIGHT_TOL)."""
+    """What the schema cannot say: the sections the experiment reads and
+    needs, one end time per time grid, a finite relaxation rate (nonzero where
+    times are set in its units), finite end times, distinct TCL column tags,
+    density system states and weights summing to 1 within WEIGHT_TOL."""
     kind = cfg["experiment"]
+    for section in cfg:
+        if section not in ("schema_version", "experiment", "model", *_SECTIONS[kind]):
+            raise ConfigError(f"config invalid at $[{section!r}]: {kind} does not read it")
     if kind == "compare":
-        has_init = "initial_state" in cfg
-        has_ecps = "ecps" in cfg
-        if not (has_init or has_ecps):
-            raise ConfigError("compare needs 'initial_state' or 'ecps'")
-        if has_init and has_ecps:
-            raise ConfigError("compare takes either 'initial_state' or 'ecps', not both")
-    elif kind == "choi-scan":
-        if "choi_scan" not in cfg:
-            raise ConfigError("choi-scan needs a 'choi_scan' section")
-    elif kind == "steady-state":
-        if "steady_state" not in cfg:
-            raise ConfigError("steady-state needs a 'steady_state' section")
+        if ("initial_state" in cfg) == ("ecps" in cfg):
+            raise ConfigError("compare takes exactly one of 'initial_state' and 'ecps'")
+        if {"t_max", "t_max_over_relaxation"} <= set(cfg.get("time_grid", {})):
+            raise ConfigError("config invalid at $['time_grid']: it takes t_max or "
+                              "t_max_over_relaxation, not both")
+        tags = [theta_tag(theta) for theta in projector_thetas(cfg)]
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"projector angles must have distinct column tags, got {tags}")
+    elif _SECTIONS[kind][-1] not in cfg:
+        raise ConfigError(f"{kind} needs a {_SECTIONS[kind][-1]!r} section")
     params = model_params(cfg)
     try:
         rate = params.relaxation_rate
@@ -211,34 +222,52 @@ def _check_experiment_sections(cfg: dict):
         rate = np.inf
     if not np.isfinite(rate):
         raise ConfigError(f"relaxation rate overflows at alpha = {params.alpha!r}")
-    if kind != "choi-scan":
-        if rate <= 0 and (kind == "steady-state"
-                          or "t_max" not in cfg.get("time_grid", {})):
-            raise ConfigError(f"relaxation rate vanishes (alpha = 0), and {kind} sets "
-                              "its times in 1/rate; compare takes a time_grid.t_max")
-        if not np.isfinite(end_time(cfg, params)):
-            raise ConfigError(f"{kind} end time overflows at relaxation rate {rate!r}")
-    tags = [theta_tag(theta) for theta in cfg.get("projectors", [])]
-    if len(set(tags)) < len(tags):
-        raise ConfigError(f"projector angles must have distinct column tags, got {tags}")
-    pieces = list(cfg.get("ecps", []))
-    if "initial_state" in cfg:
-        pieces.append(cfg["initial_state"])
-    for piece in pieces:
-        environment_state(piece["environment"])
-        if not is_density(system_matrix(piece["system"])):
-            raise ConfigError("system state must be a 2 x 2 density matrix")
-    if "ecps" in cfg:
-        total = np.sum([c["weight"] for c in cfg["ecps"]])
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ConfigError(f"ecps weights must sum to 1 within {WEIGHT_TOL:g}, "
-                              f"got {float(total)!r}")
+    if kind == "choi-scan":
+        return
+    if rate <= 0 and (kind == "steady-state" or "t_max" not in cfg.get("time_grid", {})):
+        raise ConfigError(f"relaxation rate vanishes (alpha = 0), and {kind} sets "
+                          "its times in 1/rate; compare takes a time_grid.t_max")
+    if not np.isfinite(end_time(cfg, params)):
+        raise ConfigError(f"{kind} end time overflows at relaxation rate {rate!r}")
+    pieces = initial_pieces(cfg)
+    if not all(is_density(sysm) for _, sysm, _, _ in pieces):
+        raise ConfigError("system state must be a 2 x 2 density matrix")
+    total = np.sum([w for w, *_ in pieces])
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ConfigError(f"ecps weights must sum to 1 within {WEIGHT_TOL:g}, "
+                          f"got {float(total)!r}")
 
 
 def model_params(cfg: dict) -> ModelParams:
     m = cfg["model"]
     return ModelParams(n_levels=int(m["n_levels"]), delta_eps=float(m["delta_eps"]),
                        alpha=float(m["alpha"]), xi=float(m["xi"]), seed=int(m["seed"]))
+
+
+def projector_thetas(cfg: dict) -> list[float]:
+    """Angles of compare's TCL projectors: ``projectors``, else 0 and pi/4."""
+    return [float(t) for t in cfg.get("projectors", [0.0, np.pi / 4])]
+
+
+def initial_pieces(cfg: dict) -> list:
+    """The initial state as (weight, system 2x2, environment 2x2,
+    theta-or-None) pieces: compare's ``ecps`` components or its one
+    ``initial_state``; steady-state's diag(p_excited, 1 - p_excited) (x) I/2
+    at theta = 0 and [[1, c], [c, 1]] / 2 (x) plus projector at pi/4."""
+    if cfg["experiment"] == "steady-state":
+        p1, p_exc, coh = (float(cfg["steady_state"][key])
+                          for key in ("p1", "p_excited", "coherence"))
+        return [(p1, np.diag([p_exc, 1.0 - p_exc]).astype(complex),
+                 environment_state({"kind": "maximally_mixed"}), 0.0),
+                (1.0 - p1, 0.5 * np.array([[1.0, coh], [np.conj(coh), 1.0]], dtype=complex),
+                 environment_state({"kind": "plus_projector"}), np.pi / 4)]
+    if "ecps" in cfg:
+        return [(float(c["weight"]), system_matrix(c["system"]),
+                 environment_state(c["environment"]), float(c["theta"]))
+                for c in cfg["ecps"]]
+    init = cfg["initial_state"]
+    return [(1.0, system_matrix(init["system"]),
+             environment_state(init["environment"]), None)]
 
 
 def n_realizations(cfg: dict) -> int:

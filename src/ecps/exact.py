@@ -38,9 +38,9 @@ Psi-, Phi- over the pairs. For every xi, Phi+ (x) C^N is invariant under H
 and sees only H0, so the Bell frame has the 3N block {Psi+, Psi-, Phi-} at
 0 < xi < 1 and the 2N block {Psi-, Phi-} at xi = 1, where Psi+ is also on
 its own. Every entry that W should cancel is a difference of two
-bit-identical numbers (see ``model.build_v``), and W is applied as unscaled
-butterflies and one exact halving, so the links are read off exact zeros; an
-h that the Bell frame does not split is propagated as one block. Sector
+bit-identical numbers (see ``model.build_hamiltonian``), and W is applied as
+unscaled butterflies and one exact halving, so the links are read off exact
+zeros; an h that the Bell frame does not split is propagated as one block. Sector
 variables are covariant under W: eff(rho) = U4 eff(W rho W) U4.
 Blocks are ordered by their first pair.
 

@@ -95,12 +95,15 @@ def sample_couplings(params: ModelParams):
     return draw(), draw()          # c first, then c_prime
 
 
-def build_v(params: ModelParams, couplings):
-    """Hermitian 4N x 4N interaction terms (v1, v2) of couplings (c, c_prime).
+def build_hamiltonian(params: ModelParams, couplings) -> np.ndarray:
+    """Total Hamiltonian H0 + alpha * (v1 + v2) of couplings (c, c_prime).
 
     v1 = (1-xi) * (SIGMA_PLUS (x) B + h.c.) moves branch 2 -> 1,
     v2 = xi * (SIGMA_PLUS_X (x) B' + h.c.) moves branch - -> + in the
-    rotated pair basis. Prefactors (1-xi) and xi are included.
+    rotated pair basis. The free Hamiltonian H0 is diagonal, with energy
+    delta_eps * n / N for every state (m, n, i): it acts only on the
+    environment level index, the two system states are degenerate and both
+    branches of a level share its energy.
 
     With B = sum c[n1,n2] |n1,1><n2,2|, v1 holds c on the strided slice of
     rows |1,n1,1> and columns |0,n2,2> and its adjoint on the transposed
@@ -108,45 +111,30 @@ def build_v(params: ModelParams, couplings):
     and the branch entries of |n1,+><n2,-| are (1/2) t_k, so the (system l,
     branch j; system m, branch k) slice of SIGMA_PLUS_X (x) B' is s_l t_k g
     with g = (i/4) c', and v2 adds the adjoint term s_m t_j g^dagger. Every
-    slice is exactly +-(g + g^dagger) or +-(g - g^dagger), so the Bell-frame
-    transform in ``exact`` cancels v2 to exact zeros outside its blocks. A
-    channel of weight 0 (v2 at xi = 0, v1 at xi = 1) is left unfilled.
+    slice of v2 is exactly +-(g + g^dagger) or +-(g - g^dagger), so the
+    Bell-frame transform in ``exact`` cancels it to exact zeros outside its
+    blocks. h is one buffer, and a channel of weight 0 (v2 at xi = 0, v1 at
+    xi = 1) is not added to it.
     """
-    n = params.n_levels
+    n, xi = params.n_levels, params.xi
     c, c_prime = couplings
-    v1 = np.zeros((4 * n, 4 * n), dtype=complex)
     # axes (l, n1, j, m, n2, k) of the composite row and column indices
-    v2 = np.zeros((2, n, 2, 2, n, 2), dtype=complex)
-    if params.xi < 1:
-        c = (1.0 - params.xi) * c
-        v1[2 * n::2, 1:2 * n:2] = c
-        v1[1:2 * n:2, 2 * n::2] = c.conj().T
-    if params.xi > 0:
-        g = 0.25j * params.xi * c_prime
+    h = np.zeros((2, n, 2, 2, n, 2), dtype=complex)
+    if xi > 0:
+        g = 0.25j * xi * c_prime
         plus, minus = g + g.conj().T, g - g.conj().T
         s, t = (-1.0, 1.0), (1.0, -1.0)
         for l, j, m, k in np.ndindex(2, 2, 2, 2):
             a, b = s[l] * t[k], s[m] * t[j]
-            v2[l, :, j, m, :, k] = a * (plus if a == b else minus)
-    return v1, v2.reshape(4 * n, 4 * n)
-
-
-def build_hamiltonian(params: ModelParams, couplings) -> np.ndarray:
-    """Total Hamiltonian H0 + alpha * (v1 + v2).
-
-    The free Hamiltonian H0 is diagonal, with energy delta_eps * n / N for
-    every state (m, n, i): it acts only on the environment level index, the
-    two system states are degenerate and both branches of a level share its
-    energy.
-    """
-    v1, v2 = build_v(params, couplings)
-    # a channel of weight 0 is not added (h is bit-identical to the sum); a
-    # fresh sum, not v2 updated in place, saves ~1,800 page faults at N = 120
-    h = v1 if params.xi == 0 else v2 if params.xi == 1 else v1 + v2
+            h[l, :, j, m, :, k] = a * (plus if a == b else minus)
+    if xi < 1:
+        c = (1.0 - xi) * c
+        h[1, :, 0, 0, :, 1] += c
+        h[0, :, 1, 1, :, 0] += c.conj().T
+    h = h.reshape(4 * n, 4 * n)
     h *= params.alpha
-    energies = np.repeat(params.delta_eps * np.arange(1, params.n_levels + 1)
-                         / params.n_levels, 2)
-    h.flat[::h.shape[0] + 1] += np.tile(energies, 2)
+    energies = np.repeat(params.delta_eps * np.arange(1, n + 1) / n, 2)
+    h.flat[::4 * n + 1] += np.tile(energies, 2)
     return h
 
 

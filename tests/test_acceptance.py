@@ -21,7 +21,7 @@ from ecps import (ModelParams, apply_superop, build_hamiltonian, choi_matrix,
                   ensemble_average, evolve_exact, initial_state,
                   projector_superop, sample_couplings, scan_delta,
                   sector_variables, singular_values, solve_tcl, steady_state,
-                  tcl_generator, reduced_from_sector, build_v)
+                  tcl_generator, reduced_from_sector)
 from ecps.config import environment_state
 from oracles import (choi_oracle, conserved_charge, rate_table_generator,
                      rk4_von_neumann, sector_projector, tcl2_wick_generator,

@@ -7,6 +7,7 @@ import yaml
 
 import ecps.cli
 from ecps.cli import main
+from ecps.config import _SECTIONS, CONFIG_SCHEMA
 
 PI4 = float(np.pi / 4)
 
@@ -201,6 +202,43 @@ class TestValidate:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, section, value", [
+        ("compare", "steady_state", {"p1": 0.5, "p_excited": 0.9, "coherence": 0.8}),
+        ("compare", "choi_scan", {"xi_values": [0.5]}),
+        ("choi-scan", "realizations", 3),
+        ("steady-state", "time_grid", {"points": 40}),
+        ("steady-state", "projectors", [0.0]),
+        ("steady-state", "choi_scan", {"xi_values": [0.5]})],
+        ids=["compare-steady_state", "compare-choi_scan", "choi-scan-realizations",
+             "steady-state-time_grid", "steady-state-projectors",
+             "steady-state-choi_scan"])
+    def test_section_the_experiment_does_not_read_exit_2(self, tmp_path, capsys,
+                                                         experiment, section, value):
+        cfg_dict = {"compare": compare_cfg, "choi-scan": lambda: TestChoiScan.cfg([0.5]),
+                    "steady-state": TestSteadyState.cfg}[experiment]()
+        cfg_dict[section] = value
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"$[{section!r}]: {experiment} does not read it" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_both_end_times_exit_2(self, tmp_path, capsys):
+        cfg_dict = compare_cfg()
+        cfg_dict["time_grid"]["t_max"] = 50.0
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sections_cover_the_schema(self):
+        read = set().union(*_SECTIONS.values())
+        common = {"schema_version", "experiment", "model"}
+        assert read | common == set(CONFIG_SCHEMA["properties"])
+
     @pytest.mark.parametrize("command, override", [
         ("compare", ["--seed", "-5"]), ("compare", ["--seed", str(2 ** 64)]),
         ("compare", ["--realizations", "0"]),
@@ -215,6 +253,24 @@ class TestValidate:
         assert main([command, "--config", cfg] + out + override) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputDirectory:
+    """An --out that cannot be a directory is refused before anything is
+    computed."""
+
+    @pytest.mark.parametrize("experiment, out", [
+        ("compare", "file"), ("steady-state", "file/x")])
+    def test_unusable_out_exit_2(self, tmp_path, capsys, monkeypatch, experiment, out):
+        def refuse(*args):
+            raise AssertionError("evolve_exact called")
+
+        monkeypatch.setattr(ecps.cli, "evolve_exact", refuse)
+        (tmp_path / "file").write_text("")
+        cfg_dict = compare_cfg() if experiment == "compare" else TestSteadyState.cfg()
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -382,6 +438,21 @@ class TestChoiScan:
         _, summary = read_csv(out / "summary.csv")
         grid = np.linspace(0.0, PI4, 5)
         assert np.array_equal(summary, [[0.0, grid[1], 1.0], [1.0, grid[0], 2.0]])
+
+    def test_realizations_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.cfg([0.5]))
+        with pytest.raises(SystemExit) as exc:
+            main(["choi-scan", "--config", cfg, "--out", str(tmp_path / "out"),
+                  "--realizations", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --realizations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_report_realizations_override_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.cfg([0.5]))
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["seed-report", "--config", cfg, "--realizations", "3"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_empty_xi_list_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, self.cfg([]))

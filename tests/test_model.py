@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecps import (ModelParams, build_hamiltonian, build_v, initial_state,
-                  is_density, is_hermitian, sample_couplings, sector_variables)
+from ecps import (ModelParams, build_hamiltonian, initial_state, is_density,
+                  is_hermitian, sample_couplings, sector_variables)
 from ecps.config import environment_state
 from ecps.model import PAULI_Z, branch_rotation
 from oracles import (build_v_kron, conserved_charge, embed_level_uniform,
@@ -67,6 +67,16 @@ def build_h0(p):
     return build_hamiltonian(p0, sample_couplings(p0))
 
 
+def channel_terms(p, couplings):
+    """(v1, v2): the branch and the rotated channel of build_hamiltonian at
+    alpha = 1, each read off with the other channel's couplings set to 0."""
+    p1 = replace(p, alpha=1.0)
+    c, c_prime = couplings
+    zero, h0 = np.zeros_like(c), build_h0(p1)
+    return (build_hamiltonian(p1, (c, zero)) - h0,
+            build_hamiltonian(p1, (zero, c_prime)) - h0)
+
+
 class TestHamiltonians:
     def test_h0_single_level(self):
         p = params(n_levels=1)
@@ -89,17 +99,18 @@ class TestHamiltonians:
         assert np.abs(h0 @ sz - sz @ h0).max() == 0.0
 
     def test_prefactors(self):
+        # a channel of weight 0 adds nothing: h does not see its couplings
         p1 = params(xi=1.0)
-        v1, _ = build_v(p1, sample_couplings(p1))
+        v1, _ = channel_terms(p1, sample_couplings(p1))
         assert np.abs(v1).max() == 0.0
         p0 = params(xi=0.0)
-        _, v2 = build_v(p0, sample_couplings(p0))
+        _, v2 = channel_terms(p0, sample_couplings(p0))
         assert np.abs(v2).max() == 0.0
 
     def test_hermitian(self):
         p = params()
         cpl = sample_couplings(p)
-        v1, v2 = build_v(p, cpl)
+        v1, v2 = channel_terms(p, cpl)
         assert is_hermitian(v1, 1e-12)
         assert is_hermitian(v2, 1e-12)
         assert is_hermitian(v1 + v2, 1e-12)
@@ -110,14 +121,14 @@ class TestHamiltonians:
     def test_matches_kron_construction(self, n_levels, xi):
         p = params(n_levels=n_levels, xi=xi, seed=31 + n_levels)
         cpl = sample_couplings(p)
-        v1, v2 = build_v(p, cpl)
+        v1, v2 = channel_terms(p, cpl)
         o1, o2 = build_v_kron(n_levels, xi, *cpl)
         assert np.abs(v1 - o1).max() <= 1e-15
         assert np.abs(v2 - o2).max() <= 1e-15
 
     def test_branch_channel_conserves_charge(self):
         p = params(xi=0.0)
-        v1, _ = build_v(p, sample_couplings(p))
+        v1, _ = channel_terms(p, sample_couplings(p))
         charge = conserved_charge(p.n_levels)
         assert np.abs(v1 @ charge - charge @ v1).max() <= 1e-12
         h = build_hamiltonian(p, sample_couplings(p))
@@ -135,7 +146,8 @@ class TestHamiltonians:
         p = params(n_levels=10, xi=0.5, alpha=1.0)
         comms = []
         for s in range(200):
-            v1, v2 = build_v(p.with_seed(7000 + s), sample_couplings(p.with_seed(7000 + s)))
+            v1, v2 = channel_terms(p.with_seed(7000 + s),
+                                   sample_couplings(p.with_seed(7000 + s)))
             comms.append(v1 @ v2 - v2 @ v1)
         comms = np.array(comms)
         mean = comms.mean(axis=0)
