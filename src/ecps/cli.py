@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, SCHEMA_VERSION, end_time, initial_pieces,
-                     load_config, model_params, n_realizations, projector_thetas,
-                     theta_tag, time_grid, with_overrides)
+from .config import (_SECTIONS, ConfigError, SCHEMA_VERSION, end_time,
+                     initial_pieces, load_config, model_params, n_realizations,
+                     projector_thetas, theta_tag, time_grid, with_overrides)
 from .exact import (ensemble_average, evolve_exact, realization_seeds,
                     reduced_from_sector, sector_variables)
 from .model import build_hamiltonian, initial_state, sample_couplings
@@ -250,14 +250,11 @@ print(here / "compare.png")
 
 def _seed_report(cfg: dict) -> str:
     params = model_params(cfg)
-    n_real = n_realizations(cfg)
-    lines = [
-        f"algorithm: {RNG_ALGORITHM}",
-        f"base seed: {params.seed}",
-        f"realizations: {n_real}",
-        "realization seeds: " + ", ".join(str(s) for s in
-                                          realization_seeds(params.seed, n_real)),
-    ]
+    lines = [f"algorithm: {RNG_ALGORITHM}", f"base seed: {params.seed}"]
+    if "realizations" in _SECTIONS[cfg["experiment"]]:
+        n_real = n_realizations(cfg)
+        lines += [f"realizations: {n_real}", "realization seeds: " + ", ".join(
+            str(s) for s in realization_seeds(params.seed, n_real))]
     return "\n".join(lines)
 
 
@@ -267,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact vs projected master-equation experiments for the "
                     "two-branch band model")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("compare", "choi-scan", "steady-state"):
+    for name, sections in _SECTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        if name != "choi-scan":         # the Choi scan draws no realizations
+        if "realizations" in sections:  # the Choi scan draws none
             p.add_argument("--realizations", type=int, default=None)
     v = sub.add_parser("validate")
     v.add_argument("--config", required=True)

@@ -28,20 +28,16 @@ class ConfigError(ValueError):
 
 
 _NUMBER = {"type": "number"}
+_PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+_MATRIX_2X2 = {"type": "array", "items": _PAIR, "minItems": 2, "maxItems": 2}
 _STATE_2X2 = {
     "type": "object",
     "properties": {
         "kind": {"enum": ["ket", "diagonal", "matrix"]},
-        "amplitudes": {"type": "array", "items": _NUMBER,
-                       "minItems": 2, "maxItems": 2},
-        "populations": {"type": "array", "items": _NUMBER,
-                        "minItems": 2, "maxItems": 2},
-        "entries_re": {"type": "array", "minItems": 2, "maxItems": 2,
-                       "items": {"type": "array", "items": _NUMBER,
-                                 "minItems": 2, "maxItems": 2}},
-        "entries_im": {"type": "array", "minItems": 2, "maxItems": 2,
-                       "items": {"type": "array", "items": _NUMBER,
-                                 "minItems": 2, "maxItems": 2}},
+        "amplitudes": _PAIR,
+        "populations": _PAIR,
+        "entries_re": _MATRIX_2X2,
+        "entries_im": _MATRIX_2X2,
     },
     "required": ["kind"],
     "additionalProperties": False,
@@ -140,7 +136,8 @@ CONFIG_SCHEMA = {
 _VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 #: the top-level sections each experiment reads besides schema_version,
-#: experiment and model; choi-scan and steady-state need their last one
+#: experiment and model; choi-scan and steady-state need their last one, and
+#: an experiment draws coupling realizations when it reads "realizations"
 _SECTIONS = {
     "compare": ("realizations", "initial_state", "ecps", "projectors", "time_grid"),
     "choi-scan": ("choi_scan",),
@@ -148,12 +145,24 @@ _SECTIONS = {
 }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a mapping with a repeated key."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [self.construct_object(key, deep=deep) for key, _ in node.value]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {key!r}", node.value[i][0].start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> dict:
     """Read and validate a YAML config; raise ConfigError with the offending
-    path on any problem."""
+    path on any problem, a repeated key included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -6,13 +6,13 @@ The environment has 2N states |n, i> with level n in 1..N and branch i in
 ordering, system-major, then level, then branch: |m, n, i> has the flat
 index m * 2N + (n - 1) * 2 + (i - 1) with m in {0, 1}.
 
-Two interaction channels couple system and environment:
-
-* branch channel -- flips the system up (``SIGMA_PLUS``) while moving an
-  environment excitation from branch 2 to branch 1, weight ``1 - xi``;
-* rotated channel -- the same structure conjugated into the x bases of both
-  the system and the branch pair (``SIGMA_PLUS_X``, |n,+> <n,-|),
-  weight ``xi``.
+Two interaction channels couple system and environment, each a jump
+operator on the effective system (x) branch space with a weight
+(``channels``): the branch channel ``JUMP_BRANCH`` = sigma_+ (x) |1><2| flips
+the system up while moving an excitation from branch 2 to branch 1, weight
+``1 - xi``; the rotated channel ``JUMP_ROTATED`` is the same in the x bases
+of both the system and the branch pair, weight ``xi``. ``build_hamiltonian``
+and ``superop.effective_generator_full`` are both built from this one pair.
 
 Couplings are iid complex Gaussians with unit second moment <|c|^2> = 1 and
 vanishing pseudo-variance <c c> = 0, drawn from the counter-based numpy
@@ -30,10 +30,17 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-#: maps |0> to |1> (matrix [[0,0],[1,0]] in the fixed |0>,|1> ordering)
-SIGMA_PLUS = 0.5 * (PAULI_X - 1j * PAULI_Y)
-#: x-basis counterpart of SIGMA_PLUS: maps |+> to -i|-> with |+-> = (|0> +- |1>)/sqrt(2)
-SIGMA_PLUS_X = 0.5 * (PAULI_Y - 1j * PAULI_Z)
+#: branch channel: system |0> -> |1>, branch 2 -> 1 (|1><2|)
+JUMP_BRANCH = np.kron(0.5 * (PAULI_X - 1j * PAULI_Y), [[0, 1], [0, 0]])
+#: rotated channel: system |+> -> -i|->, branch - -> + (|+><-| written exactly
+#: rather than from 1/sqrt(2), so every entry of either operator is 0, 1 or +-i/4)
+JUMP_ROTATED = np.kron(0.5 * (PAULI_Y - 1j * PAULI_Z),
+                       np.array([[1, -1], [1, -1]]) / 2)
+
+
+def channels(xi: float):
+    """(weight, jump operator) of the branch, then the rotated channel."""
+    return (1.0 - xi, JUMP_BRANCH), (xi, JUMP_ROTATED)
 
 
 @dataclass(frozen=True)
@@ -96,41 +103,33 @@ def sample_couplings(params: ModelParams):
 
 
 def build_hamiltonian(params: ModelParams, couplings) -> np.ndarray:
-    """Total Hamiltonian H0 + alpha * (v1 + v2) of couplings (c, c_prime).
+    """Total Hamiltonian H0 + alpha * v of couplings (c, c_prime).
 
-    v1 = (1-xi) * (SIGMA_PLUS (x) B + h.c.) moves branch 2 -> 1,
-    v2 = xi * (SIGMA_PLUS_X (x) B' + h.c.) moves branch - -> + in the
-    rotated pair basis. The free Hamiltonian H0 is diagonal, with energy
-    delta_eps * n / N for every state (m, n, i): it acts only on the
-    environment level index, the two system states are degenerate and both
-    branches of a level share its energy.
-
-    With B = sum c[n1,n2] |n1,1><n2,2|, v1 holds c on the strided slice of
-    rows |1,n1,1> and columns |0,n2,2> and its adjoint on the transposed
-    slice. With s = (-1, 1) and t = (1, -1), SIGMA_PLUS_X[l, m] = (i/2) s_l
-    and the branch entries of |n1,+><n2,-| are (1/2) t_k, so the (system l,
-    branch j; system m, branch k) slice of SIGMA_PLUS_X (x) B' is s_l t_k g
-    with g = (i/4) c', and v2 adds the adjoint term s_m t_j g^dagger. Every
-    slice of v2 is exactly +-(g + g^dagger) or +-(g - g^dagger), so the
-    Bell-frame transform in ``exact`` cancels it to exact zeros outside its
-    blocks. h is one buffer, and a channel of weight 0 (v2 at xi = 0, v1 at
-    xi = 1) is not added to it.
+    v = sum w (J (x) B + h.c.) over the ``channels`` (w, J), with
+    B = sum b[n1, n2] |n1><n2|, b = c for the branch and c_prime for the
+    rotated channel. The (l, j; m, k) slice of a channel on the composite
+    axes (l, n1, j; m, n2, k) is w (J[2l+j, 2m+k] B + conj(J[2m+k, 2l+j])
+    B^dagger), each distinct product and slice formed once. As J's entries
+    are exactly 0, 1 or +-i/4, every slice of the rotated channel is exactly
+    +-(g + g^dagger) or +-(g - g^dagger), g = (i/4) xi c_prime, which the
+    Bell-frame transform in ``exact`` cancels to exact zeros outside its
+    blocks. A channel of weight 0 is not added. H0 is diagonal,
+    delta_eps * n / N for every state (m, n, i): the two system states and
+    the two branches of a level are degenerate.
     """
-    n, xi = params.n_levels, params.xi
-    c, c_prime = couplings
+    n = params.n_levels
     # axes (l, n1, j, m, n2, k) of the composite row and column indices
     h = np.zeros((2, n, 2, 2, n, 2), dtype=complex)
-    if xi > 0:
-        g = 0.25j * xi * c_prime
-        plus, minus = g + g.conj().T, g - g.conj().T
-        s, t = (-1.0, 1.0), (1.0, -1.0)
-        for l, j, m, k in np.ndindex(2, 2, 2, 2):
-            a, b = s[l] * t[k], s[m] * t[j]
-            h[l, :, j, m, :, k] = a * (plus if a == b else minus)
-    if xi < 1:
-        c = (1.0 - xi) * c
-        h[1, :, 0, 0, :, 1] += c
-        h[0, :, 1, 1, :, 0] += c.conj().T
+    for (w, jump), b in zip(channels(params.xi), couplings):
+        if w == 0:
+            continue
+        wj = w * jump
+        prod = {0: 0, **{e: e * b for e in set(wj.flat) - {0}}}  # 0: no term
+        slices = {(e, f): prod[e] + np.conj(prod[f]).T
+                  for e, f in set(zip(wj.flat, wj.T.flat)) - {(0, 0)}}
+        for (r, c), e in np.ndenumerate(wj):
+            if (e, wj[c, r]) in slices:
+                h[r // 2, :, r % 2, c // 2, :, c % 2] += slices[e, wj[c, r]]
     h = h.reshape(4 * n, 4 * n)
     h *= params.alpha
     energies = np.repeat(params.delta_eps * np.arange(1, n + 1) / n, 2)

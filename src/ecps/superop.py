@@ -5,7 +5,8 @@ sector factor in the unrotated branch labeling (sector index 0 = branch 1,
 1 = branch 2); see :mod:`ecps.exact` for how composite states map onto this
 space. Superoperators are stored as 16 x 16 matrices acting on
 column-stacked vectorizations. The projectors and generators built here are
-Hermitian as such matrices.
+Hermitian as such matrices. The jump operators and weights of the two
+channels are ``model.channels``, which the composite Hamiltonian also reads.
 
 Vectorization convention (column stacking):
 
@@ -28,22 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SIGMA_PLUS, SIGMA_PLUS_X, branch_rotation
+from .model import branch_rotation, channels
 from .linalg import singular_values
 
 EFF_DIM = 4
-
-#: sector ladder of the branch channel: |branch 1><branch 2|
-SECTOR_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
-_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
-_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
-#: sector ladder of the rotated channel: |+><-| in branch labels
-SECTOR_LOWER_X = np.outer(_PLUS, _MINUS.conj())
-
-#: jump operator of the branch channel: system up, sector 2 -> 1
-JUMP_BRANCH = np.kron(SIGMA_PLUS, SECTOR_LOWER)
-#: jump operator of the rotated channel: system |+> -> |->, sector - -> +
-JUMP_ROTATED = np.kron(SIGMA_PLUS_X, SECTOR_LOWER_X)
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -52,7 +41,9 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(EFF_DIM, EFF_DIM).T
+    """Inverse of ``vec``, of one 16-vector or of each row of a (..., 16) stack."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(v.shape[:-1] + (EFF_DIM, EFF_DIM)).swapaxes(-1, -2)
 
 
 def skron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,12 +79,11 @@ def effective_generator_full(xi: float, lam: float) -> np.ndarray:
     """Ensemble-averaged second-order generator on the effective space, before
     any projection.
 
-    Each channel contributes a symmetric pair of dissipators around its jump
-    operator: weight lam*(1-xi)^2 for the branch channel (JUMP_BRANCH) and
-    lam*xi^2 for the rotated channel (JUMP_ROTATED). The overall scale is
-    fixed so that the branch channel exchanges its two coupled populations at
-    total rate 2*lam at xi = 0, matching the closed-form relaxation rates of
-    the model (and the golden-rule rate lam = alpha^2 * gamma * N).
+    Each channel (w, J) of ``model.channels`` contributes the symmetric pair
+    of dissipators around J with weight lam * w^2, so the branch channel
+    exchanges its two coupled populations at total rate 2*lam at xi = 0, as
+    the closed-form rates of the model and the golden-rule rate
+    lam = alpha^2 * gamma * N say.
 
     Trace annihilating and Hermiticity preserving for any (xi, lam). As a
     16 x 16 matrix it is Hermitian: each pair of dissipators is.
@@ -102,8 +92,7 @@ def effective_generator_full(xi: float, lam: float) -> np.ndarray:
         raise ValueError("lam must be >= 0")
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    return lam * ((1.0 - xi) ** 2 * _dissipator_pair(JUMP_BRANCH)
-                  + xi ** 2 * _dissipator_pair(JUMP_ROTATED))
+    return lam * sum(w ** 2 * _dissipator_pair(jump) for w, jump in channels(xi))
 
 
 def tcl_generator(theta: float, xi: float, lam: float) -> np.ndarray:

@@ -85,7 +85,7 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarra
     vecs[0] = vec(rho0)
     for i in range(1, times.size):
         vecs[i] = step @ vecs[i - 1]
-    return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)       # unvec of each row
+    return unvec(vecs)
 
 
 def ecps_evolve(components, xi: float, lam: float, times) -> np.ndarray:

@@ -533,3 +533,42 @@ class TestSeedReport:
         assert "Philox" in out
         assert "base seed: 321" in out
         assert "321, 322, 323" in out
+
+    def test_choi_scan_reports_no_realizations(self, tmp_path, capsys):
+        # the Choi scan draws no couplings, so there are no realization seeds
+        cfg = write_cfg(tmp_path, TestChoiScan.cfg([0.5]))
+        assert main(["seed-report", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "base seed: 321" in out
+        assert "realization" not in out
+
+
+class TestDuplicateKeys:
+    """A repeated YAML key is a config error, not a silent last-one-wins."""
+
+    @staticmethod
+    def write_dup(tmp_path):
+        text = yaml.safe_dump(compare_cfg()).replace("  xi: 0.0\n", "  xi: 0.0\n  xi: 0.5\n")
+        assert text.count("xi:") == 2
+        path = tmp_path / "dup.yaml"
+        path.write_text(text)
+        return str(path)
+
+    def test_validate_exit_2(self, tmp_path, capsys):
+        assert main(["validate", "--config", self.write_dup(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "repeated key 'xi'" in err
+
+    def test_runner_exit_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compare", "--config", self.write_dup(tmp_path),
+                     "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_top_level_section(self, tmp_path, capsys):
+        text = yaml.safe_dump(compare_cfg()) + "realizations: 2\n"
+        path = tmp_path / "dup.yaml"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "repeated key 'realizations'" in capsys.readouterr().err

@@ -6,6 +6,8 @@ import pytest
 from ecps import (ModelParams, build_hamiltonian, initial_state, is_density,
                   is_hermitian, sample_couplings, sector_variables)
 from ecps.config import environment_state
+import ecps.model
+import ecps.superop
 from ecps.model import PAULI_Z, branch_rotation
 from oracles import (build_v_kron, conserved_charge, embed_level_uniform,
                      phi_plus_projector)
@@ -75,6 +77,38 @@ def channel_terms(p, couplings):
     zero, h0 = np.zeros_like(c), build_h0(p1)
     return (build_hamiltonian(p1, (c, zero)) - h0,
             build_hamiltonian(p1, (zero, c_prime)) - h0)
+
+
+class TestJumpOperators:
+    """The exact and the projected dynamics read one pair of jump operators,
+    written with exact entries."""
+
+    def test_entries_are_exact(self):
+        assert set(ecps.model.JUMP_BRANCH.flat) <= {0, 1}
+        rotated = ecps.model.JUMP_ROTATED[ecps.model.JUMP_ROTATED != 0]
+        assert rotated.size == 16
+        assert np.all(np.abs(rotated) == 0.25)
+        assert np.all(rotated.real == 0)
+
+    def test_superop_uses_the_model_operators(self):
+        assert ecps.superop.channels is ecps.model.channels
+        (w1, j1), (w2, j2) = ecps.model.channels(0.3)
+        assert (w1, w2) == (1.0 - 0.3, 0.3)
+        assert j1 is ecps.model.JUMP_BRANCH and j2 is ecps.model.JUMP_ROTATED
+        for name in ("JUMP_BRANCH", "JUMP_ROTATED", "SECTOR_LOWER", "SECTOR_LOWER_X"):
+            assert not hasattr(ecps.superop, name)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+    def test_hamiltonian_slices_are_the_jump_entries(self, xi):
+        # the (r, c) level block of each channel is w (J[r, c] B + conj(J[c, r]) B^dagger)
+        p = params(n_levels=5, xi=xi)
+        couplings = sample_couplings(p)
+        for (w, jump), b, v in zip(ecps.model.channels(xi), couplings,
+                                   channel_terms(p, couplings)):
+            blocks = v.reshape(2, 5, 2, 2, 5, 2).transpose(0, 2, 3, 5, 1, 4)
+            for r, c in np.ndindex(4, 4):
+                want = w * (jump[r, c] * b + np.conj(jump[c, r]) * b.conj().T)
+                assert np.abs(blocks[r // 2, r % 2, c // 2, c % 2] - want).max() <= 1e-15
 
 
 class TestHamiltonians:

@@ -37,6 +37,14 @@ class TestVectorization:
         m = random_eff(rng)
         assert np.array_equal(unvec(vec(m)), m)
 
+    def test_unvec_of_a_stack_is_unvec_of_each_row(self):
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal((3, 5, 16)) + 1j * rng.standard_normal((3, 5, 16))
+        stack = unvec(v)
+        assert stack.shape == (3, 5, 4, 4)
+        for i, j in np.ndindex(3, 5):
+            assert np.array_equal(stack[i, j], unvec(v[i, j]))
+
 
 class TestProjectorSuperop:
     @pytest.mark.parametrize("theta", [0.0, np.pi / 8, PI4])
