@@ -12,6 +12,25 @@ output directory gets a metadata.json sufficient to re-run the experiment.
 Plot rendering is delegated to an emitted script so the core has no plotting
 dependency.
 
+Output columns. A ``*_rho00`` column is the system population rho[0, 0], and
+``*_rho01_re`` / ``*_rho01_im`` are the real and imaginary parts of rho[0, 1].
+
+- ``compare.csv``, one row per time: ``t``; ``exact_*``, the exact dynamics
+  averaged over the realizations; ``tcl_<tag>_*``, the second-order master
+  equation under the projector of each configured angle theta, with the tag
+  theta / pi to 4 decimals, "p" for the point and "m" for a minus (pi/4 gives
+  ``0p2500pi``; metadata ``tcl_column_thetas`` maps tags to angles); and
+  ``ecps_*``, the ECPS sum, when the config has an ``ecps`` section.
+- ``steady.csv``, one row per quantity ``rho00``, ``rho11``, ``rho01_re``,
+  ``rho01_im`` of the long-time system state: ``exact`` (at the configured
+  late time), ``cps_pi4`` (the single projector at theta = pi/4), ``ecps``, and
+  ``cps_abs_err`` / ``ecps_abs_err``, their distances from ``exact``.
+- ``scan.csv``, one row per (xi, theta) point: ``xi``, ``theta``, and ``sv1``
+  to ``sv16``, the singular values, descending, of the Choi matrix of
+  Delta = P G (1 - P), the part of the generator G the projector P misses.
+- ``summary.csv``, one row per xi: ``xi``, ``argmin_theta`` (the first theta
+  where ``sv1`` is smallest) and ``min_max_sv`` (that smallest ``sv1``).
+
 Exit codes: 0 success; 2 usage or config error, or an output directory that
 cannot be created, before anything is computed; 3 numerical-precondition failure.
 """

@@ -24,38 +24,38 @@ trace, and reduces to the system state via rho_A[l, m] = sum_j eff[(l,j),(m,j)].
 The code computes theta = 0 only; a rotated basis follows by the 4x4
 rotation u^dagger eff u with u = I (x) ``model.branch_rotation(theta)``.
 
-Blocks: H is read over the four (system state, branch) pairs r = 2l + j,
-each spanning the N levels. Two pairs are linked when H has a nonzero entry
-between them, and a pair is linked to itself when its own N x N slice has a
-nonzero entry off the diagonal. Each connected set of pairs is a block with
-its own (smaller) eigendecomposition; a pair linked to nothing is its own
-eigenbasis, with the diagonal of H as its eigenvalues. At xi = 0 the branch
-channel links only r = 1, 2, the 2N block {|0,n,2>, |1,n',1>}, and
-r = 0 (|0,n,1>) and r = 3 (|1,n,2>) see only H0. When the plain frame links
-all four pairs (xi > 0), propagation runs in the Bell frame W = U4 (x) I_N,
-where U4 (real, symmetric, its own inverse) has the columns Phi+, Psi+,
-Psi-, Phi- over the pairs. For every xi, Phi+ (x) C^N is invariant under H
-and sees only H0, so the Bell frame has the 3N block {Psi+, Psi-, Phi-} at
-0 < xi < 1 and the 2N block {Psi-, Phi-} at xi = 1, where Psi+ is also on
-its own. Every entry that W should cancel is a difference of two
-bit-identical numbers (see ``model.build_hamiltonian``), and W is applied as
-unscaled butterflies and one exact halving, so the links are read off exact
-zeros; an h that the Bell frame does not split is propagated as one block. Sector
-variables are covariant under W: eff(rho) = U4 eff(W rho W) U4.
-Blocks are ordered by their first pair.
+Blocks: two of the (system state, branch) pairs r = 2l + j are linked when
+their N x N slice of H (``model.pair_slices``) has a nonzero entry, and a
+pair is linked to itself when its own slice has one off the diagonal. Each
+connected set of pairs is a block with its own (smaller) eigendecomposition;
+a pair linked to nothing is its own eigenbasis, with the diagonal of H as its
+eigenvalues. At xi = 0 the branch channel links only r = 1, 2, the 2N block
+{|0,n,2>, |1,n',1>}, and r = 0 (|0,n,1>) and r = 3 (|1,n,2>) see only H0.
+When the plain frame links all four pairs (xi > 0), propagation runs in the
+Bell frame W = U4 (x) I_N, where U4 (real, symmetric, its own inverse) has
+the columns Phi+, Psi+, Psi-, Phi- over the pairs. For every xi, Phi+ (x) C^N
+is invariant under H and sees only H0, so the Bell frame has the 3N block
+{Psi+, Psi-, Phi-} at 0 < xi < 1 and the 2N block {Psi-, Phi-} at xi = 1,
+where Psi+ is also on its own. W is applied as sums and differences of slices
+and one exact halving. All it needs from h is that negating a jump entry
+negates its slices exactly (see ``model.build_hamiltonian``): every entry
+that W should cancel is then a difference of two bit-identical numbers, and
+the links are read off exact zeros. An h that the Bell frame does not split
+is one block. Sector variables are covariant under W:
+eff(rho) = U4 eff(W rho W) U4. Blocks are ordered by their first pair.
 
 Initial state: the experiments start from states in the range of the
 correlated projection, rho0 = sum_i rho_i (x) Pi_i / N_i, which are uniform
-over the levels: rho0 = eff0 (x) I_N / N, i.e. rho0[(l,n,j),(m,n',k)] =
-eff0[2l + j, 2m + k] delta_nn' / N. So eff0 fixes rho0, and ``evolve_exact``
-takes eff0 (U4 eff0 U4 in the Bell frame).
+over the levels: rho0 = eff0 (x) I_N / N, whose (r, c) slice is
+eff0[r, c] I_N / N. So eff0 fixes rho0, and ``evolve_exact`` takes eff0
+(U4 eff0 U4 in the Bell frame).
 
-Readout in the eigenbasis: the composite index of |l, n, j> is l*2N + 2n + j,
-and the N rows of V for the pair r = 2l + j, A_r, are nonzero only on the
-eigenvector columns of the block of r, where they are N rows of the block's
-eigenvectors (the identity for a pair on its own). For a block pair (B, B'),
-B not after B', with the Gram blocks K_rc = A_r^T conj(A_c) for r in B and
-c in B' and the phases ph_a(t) = exp(-i w_a t), the theta = 0 entries are
+Readout in the eigenbasis: the N rows of V for the pair r = 2l + j, A_r,
+are nonzero only on the eigenvector columns of the block of r, where they
+are N rows of the block's eigenvectors (the identity for a pair on its own).
+For a block pair (B, B'), B not after B', with the Gram blocks
+K_rc = A_r^T conj(A_c) for r in B and c in B' and the phases
+ph_a(t) = exp(-i w_a t), the theta = 0 entries are
 
     eff[r, c](t) = sum_ab ph_a(t) M_rc[a, b] conj(ph_b(t))   (a in B, b in B'),
     M_rc = K_rc * rho_e      (elementwise product),
@@ -72,7 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
-from .model import ModelParams
+from .model import ModelParams, pair_slices
 
 
 def sector_variables(rho: np.ndarray) -> np.ndarray:
@@ -82,9 +82,8 @@ def sector_variables(rho: np.ndarray) -> np.ndarray:
     dim = rho.shape[0]
     if rho.shape != (dim, dim) or dim % 4:
         raise ValueError(f"expected a 4N x 4N matrix, got shape {rho.shape}")
-    n = dim // 4
-    t = rho.reshape(2, n, 2, 2, n, 2)
-    return np.einsum('lnjmnk->ljmk', t).reshape(4, 4)
+    s = pair_slices(rho)
+    return np.array([[np.einsum('ii->', x) for x in row] for row in s])
 
 
 def reduced_from_sector(eff: np.ndarray) -> np.ndarray:
@@ -94,40 +93,35 @@ def reduced_from_sector(eff: np.ndarray) -> np.ndarray:
     return np.einsum('...ljmj->...lm', e.reshape(e.shape[:-2] + (2, 2, 2, 2)))
 
 
-#: sqrt(2) U4, whose columns are Phi+, Psi+, Psi-, Phi- over the pairs
-#: r = 2l + j
+#: sqrt(2) U4: its columns are Phi+, Psi+, Psi-, Phi- over the pairs r = 2l + j
 _BELL = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
                   [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+#: row (= column) r of _BELL as (p, q, op): its pairs p < q, added or subtracted
+_BELL_PAIRS = [(p, q, np.add if row[q] > 0 else np.subtract)
+               for row in _BELL for p, q in [np.flatnonzero(row)]]
 
 
 def _bell_frame(m: np.ndarray) -> np.ndarray:
-    """W m W for W = U4 (x) I_N (real, symmetric, its own inverse).
-
-    Unscaled butterflies over the pair r = 2l + j of the rows and then of the
-    columns: pair (0, j) meets pair (1, 1 - j), the sum goes to (0, j) and the
-    difference to (1, 1 - j). One exact halving follows, so entries that
-    cancel exactly come out as exact zeros. The column pass runs in the
-    buffer of the row pass, with a copy of one half of it."""
-    d = m.shape[0]
-    src = m.reshape(2, d // 4, 2, 2, d // 4, 2)
-    out = np.empty_like(src)
-    np.add(src[0], src[1, :, ::-1], out=out[0])
-    np.subtract(src[0], src[1, :, ::-1], out=out[1, :, ::-1])
-    first, second = out[:, :, :, 0], out[:, :, :, 1, :, ::-1]
-    saved = first.copy()
-    first += second
-    np.subtract(saved, second, out=second)
+    """W m W for W = U4 (x) I_N: unscaled sums and differences of the row
+    slices, then of the column slices, and one exact halving, so entries that
+    cancel exactly come out as exact zeros."""
+    rows, out = np.empty_like(m), np.empty_like(m)
+    t, o = pair_slices(rows), pair_slices(out)
+    # the column pass is the row pass on the transposed lists of slices
+    for src, dst in ((pair_slices(m), t), (list(zip(*t)), list(zip(*o)))):
+        for r, (p, q, op) in enumerate(_BELL_PAIRS):
+            for c in range(4):
+                op(src[p][c], src[q][c], out=dst[r][c])
     out *= 0.5
-    return out.reshape(d, d)
+    return out
 
 
-def _pair_links(h: np.ndarray, n: int):
+def _pair_links(h: np.ndarray):
     """4 x 4 (links, reach): links[r, c] if h has a nonzero off-diagonal entry
     between pairs r and c (r = c too), symmetrized; reach[r, c] if connected."""
     nonzero = h != 0
     np.fill_diagonal(nonzero, False)
-    # one axis at a time: ~50 x faster than any(axis=(1, 4)) at N = 60
-    links = nonzero.reshape(2, n, 2, 2, n, 2).any(axis=1).any(axis=3).reshape(4, 4)
+    links = np.array([[x.any() for x in row] for row in pair_slices(nonzero)])
     links |= links.T
     reach = links | np.eye(4, dtype=bool)
     for _ in range(2):      # paths of up to 4 > 3 links
@@ -147,27 +141,25 @@ def _block_eigen(h: np.ndarray):
     d = h.shape[0] if h.ndim == 2 else 0
     if h.shape != (d, d) or d == 0 or d % 4 or not np.isfinite(h).all():
         raise ValueError("h must be a finite 4N x 4N matrix")
-    n = d // 4
-    links, reach = _pair_links(h, n)
+    links, reach = _pair_links(h)
     bell_frame = bool(reach.all())
     if bell_frame:
         h = _bell_frame(h)
-        links, reach = _pair_links(h, n)
-    # index[r] is the composite index l*2N + 2n + j of (pair r, level n)
-    index = np.arange(d).reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n)
+        links, reach = _pair_links(h)
+    s = pair_slices(h)
     blocks = []
     for pairs in dict.fromkeys(tuple(np.flatnonzero(row)) for row in reach):
-        sup = index[list(pairs)].ravel()
         if len(pairs) == 1 and not links[pairs[0], pairs[0]]:
             # a pair with no off-diagonal entry is its own eigenbasis;
             # |h_ii - conj(h_ii)| = 2 |Im h_ii|, the measure of is_hermitian
-            diag = h[sup, sup]
+            diag = np.diagonal(s[pairs[0]][pairs[0]])
             if not np.all(np.abs(diag.imag) <= STRUCTURAL_TOL / 2):
                 raise ValueError("evolve_exact requires a Hermitian matrix")
-            w, vecs = diag.real.copy(), np.eye(n, dtype=complex)
+            w, vecs = diag.real.copy(), np.eye(diag.size, dtype=complex)
         else:
-            w, vecs = eig_hermitian(h[sup][:, sup])
-        blocks.append((pairs, w, vecs.reshape(len(pairs), n, w.size)))
+            w, vecs = eig_hermitian(np.block([[s[r][c] for c in pairs]
+                                              for r in pairs]))
+        blocks.append((pairs, w, vecs.reshape(len(pairs), -1, w.size)))
     return blocks, bell_frame
 
 
@@ -179,11 +171,8 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
     ``eff0`` is the 4 x 4 effective initial state and must be a density
     matrix, ``h`` a Hermitian 4N x 4N matrix (both within the structural
     tolerance); ``times`` must be finite and increase from 0. ``h`` is split
-    into the connected sets of the pairs r = 2l + j that its entries link,
-    in the Bell frame when the plain frame links all four pairs; each block
-    is diagonalized on its own (a pair linked to nothing is its own
-    eigenbasis), and the sector variables are read out of the eigenbasis for
-    all times at once (see the module docstring), exactly at any spectrum.
+    into blocks, and the sector variables are read out of their eigenbases
+    for all times at once, exactly at any spectrum (see the module docstring).
     Hermiticity of ``h`` is checked per block (``eig_hermitian``) and on the
     diagonal of the unlinked pairs; the links are symmetrized, so a one-sided
     entry joins its two pairs and fails the block's check.

@@ -102,38 +102,45 @@ def sample_couplings(params: ModelParams):
     return draw(), draw()          # c first, then c_prime
 
 
+def pair_slices(matrix: np.ndarray) -> list:
+    """4 x 4 nested list of the N x N views of a 4N x 4N composite matrix
+    between its (system state, branch) pairs r = 2l + j and c = 2m + k:
+    slice [r][c] at (n1, n2) is entry (l*2N + 2*n1 + j, m*2N + 2*n2 + k). The
+    one reader of the composite layout; writes to the views of a contiguous
+    matrix land in it."""
+    n = matrix.shape[0] // 4
+    t = matrix.reshape(2, n, 2, 2, n, 2)
+    return [[t[r // 2, :, r % 2, c // 2, :, c % 2] for c in range(4)]
+            for r in range(4)]
+
+
 def build_hamiltonian(params: ModelParams, couplings) -> np.ndarray:
     """Total Hamiltonian H0 + alpha * v of couplings (c, c_prime).
 
     v = sum w (J (x) B + h.c.) over the ``channels`` (w, J), with
     B = sum b[n1, n2] |n1><n2|, b = c for the branch and c_prime for the
-    rotated channel. The (l, j; m, k) slice of a channel on the composite
-    axes (l, n1, j; m, n2, k) is w (J[2l+j, 2m+k] B + conj(J[2m+k, 2l+j])
-    B^dagger), each distinct product and slice formed once. As J's entries
+    rotated channel. Each nonzero entry e = w J[r, c] adds e B to the
+    ``pair_slices`` slice (r, c) and (e B)^dagger to (c, r). As J's entries
     are exactly 0, 1 or +-i/4, every slice of the rotated channel is exactly
     +-(g + g^dagger) or +-(g - g^dagger), g = (i/4) xi c_prime, which the
     Bell-frame transform in ``exact`` cancels to exact zeros outside its
-    blocks. A channel of weight 0 is not added. H0 is diagonal,
+    blocks; the rotated channel is added first, so each of its slices is
+    whole before the branch channel adds to one. H0 is diagonal,
     delta_eps * n / N for every state (m, n, i): the two system states and
     the two branches of a level are degenerate.
     """
     n = params.n_levels
-    # axes (l, n1, j, m, n2, k) of the composite row and column indices
-    h = np.zeros((2, n, 2, 2, n, 2), dtype=complex)
-    for (w, jump), b in zip(channels(params.xi), couplings):
-        if w == 0:
-            continue
-        wj = w * jump
-        prod = {0: 0, **{e: e * b for e in set(wj.flat) - {0}}}  # 0: no term
-        slices = {(e, f): prod[e] + np.conj(prod[f]).T
-                  for e, f in set(zip(wj.flat, wj.T.flat)) - {(0, 0)}}
-        for (r, c), e in np.ndenumerate(wj):
-            if (e, wj[c, r]) in slices:
-                h[r // 2, :, r % 2, c // 2, :, c % 2] += slices[e, wj[c, r]]
-    h = h.reshape(4 * n, 4 * n)
+    h = np.zeros((4 * n, 4 * n), dtype=complex)
+    s = pair_slices(h)
+    for (w, jump), b in reversed(list(zip(channels(params.xi), couplings))):
+        for (r, c), e in np.ndenumerate(w * jump):
+            if e != 0:      # none for a channel of weight 0
+                eb = e * b
+                s[r][c] += eb
+                s[c][r] += eb.conj().T
     h *= params.alpha
-    energies = np.repeat(params.delta_eps * np.arange(1, n + 1) / n, 2)
-    h.flat[::4 * n + 1] += np.tile(energies, 2)
+    for r in range(4):
+        s[r][r].flat[::n + 1] += params.delta_eps * np.arange(1, n + 1) / n
     return h
 
 

@@ -288,6 +288,15 @@ class TestCompare:
         assert meta["resolved"]["realization_seeds"] == [321]
         assert (out / "plot.py").exists()
 
+    def test_fine_time_grid(self, tmp_path):
+        # a 20,000-point linspace is uniform only to about eps of its span
+        cfg = compare_cfg(n_levels=2)
+        cfg["time_grid"]["points"] = 20000
+        out = tmp_path / "out"
+        assert main(["compare", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert read_csv(out / "compare.csv")[1].shape[0] == 20000
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, compare_cfg())
         out1, out2 = tmp_path / "a", tmp_path / "b"

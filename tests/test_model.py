@@ -8,7 +8,7 @@ from ecps import (ModelParams, build_hamiltonian, initial_state, is_density,
 from ecps.config import environment_state
 import ecps.model
 import ecps.superop
-from ecps.model import PAULI_Z, branch_rotation
+from ecps.model import PAULI_Z, branch_rotation, pair_slices
 from oracles import (build_v_kron, conserved_charge, embed_level_uniform,
                      phi_plus_projector)
 
@@ -109,6 +109,21 @@ class TestJumpOperators:
             for r, c in np.ndindex(4, 4):
                 want = w * (jump[r, c] * b + np.conj(jump[c, r]) * b.conj().T)
                 assert np.abs(blocks[r // 2, r % 2, c // 2, c % 2] - want).max() <= 1e-15
+
+
+class TestPairSlices:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_views_in_the_documented_index_order(self, n):
+        # slice [r][c] at (n1, n2) is entry (l 2N + 2 n1 + j, m 2N + 2 n2 + k)
+        m = np.zeros((4 * n, 4 * n), dtype=complex)
+        want = np.zeros_like(m)
+        slices = pair_slices(m)
+        for value, (r, c, n1, n2) in enumerate(np.ndindex(4, 4, n, n), start=1):
+            (l, j), (mm, k) = divmod(r, 2), divmod(c, 2)
+            slices[r][c][n1, n2] = value
+            want[l * 2 * n + 2 * n1 + j, mm * 2 * n + 2 * n2 + k] = value
+        assert np.count_nonzero(m) == m.size
+        assert np.array_equal(m, want)
 
 
 class TestHamiltonians:

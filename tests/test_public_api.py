@@ -1,8 +1,9 @@
 """The public API of ``ecps`` holds no name that only the tests use: every
 name in ``ecps.__all__`` is loaded somewhere in the package outside
 ``__init__.py``; every top-level function and class of a module outside
-``__init__.py`` is loaded somewhere in the package; and no such module
-imports a name it never loads."""
+``__init__.py`` is loaded somewhere in the package; no such module
+imports a name it never loads; and only ``model.pair_slices`` reads the
+(system, level, branch) layout of composite matrices."""
 import ast
 from pathlib import Path
 
@@ -56,3 +57,13 @@ def test_no_unused_imports():
                     if name not in loaded:
                         unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_only_model_reshapes_to_the_composite_axes():
+    # a six-axis reshape decodes the composite layout, which pair_slices owns
+    found = [f"{module}:{node.lineno}" for module, tree in _modules()
+             if module != "model.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "reshape" and len(node.args) == 6]
+    assert found == []

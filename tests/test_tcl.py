@@ -74,6 +74,15 @@ class TestSolveTcl:
         with pytest.raises(ValueError, match="uniform grid"):
             solve_tcl(k, rho0, times, theta=0.0)
 
+    @pytest.mark.parametrize("times", [np.linspace(0, 265.25823848649225, 8000),
+                                       np.linspace(0, 10.0, 100000)])
+    def test_accepts_fine_linspace_grids(self, times):
+        # linspace steps vary by about eps * span, more than 1e-12 of one step
+        rho0 = project(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), 0.0)
+        sol = solve_tcl(tcl_generator(0.0, 0.2, 1.0), rho0, times, theta=0.0)
+        assert sol.shape == (times.size, 4, 4)
+        assert abs(np.trace(sol[-1]) - 1.0) <= 1e-9
+
     def test_single_time(self):
         rho0 = project(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), 0.0)
         sol = solve_tcl(tcl_generator(0.0, 0.2, 1.0), rho0, [0.0], theta=0.0)
