@@ -92,54 +92,53 @@ def _write_metadata(out_dir: Path, cfg: dict, params, extra: dict):
         fh.write("\n")
 
 
-def _initial_states(pieces, params):
-    """Effective 4x4 initial state and the effective state of each piece:
-    (eff0, [(weight, effective state, theta-or-None), ...]). Every piece is
-    level-uniform, so eff0 fixes the composite initial state eff0 (x) I_N / N
-    that ``evolve_exact`` propagates; one call serves every realization."""
-    effs = [(w, sector_variables(initial_state(sysm, env, params)), th)
-            for w, sysm, env, th in pieces]
-    return sum(w * eff for w, eff, _ in effs), effs
+def _exact_run(cfg: dict, params, times):
+    """The exact effective states at ``times`` averaged over the realizations,
+    the effective initial state eff0, and each piece of the initial state as
+    (weight, effective state, theta-or-None). Every piece is level-uniform,
+    so eff0 fixes the composite initial state eff0 (x) I_N / N that
+    ``evolve_exact`` propagates; one build of each piece serves every
+    realization."""
+    pieces = [(w, sector_variables(initial_state(sysm, env, params)), th)
+              for w, sysm, env, th in initial_pieces(cfg)]
+    eff0 = sum(w * eff for w, eff, _ in pieces)
+    exact = ensemble_average(params, n_realizations(cfg), lambda p: evolve_exact(
+        build_hamiltonian(p, sample_couplings(p)), eff0, times))
+    return exact, eff0, pieces
+
+
+def _realizations(cfg: dict, params) -> dict:
+    """How many coupling realizations a run draws, and the seed of each."""
+    n_real = n_realizations(cfg)
+    return {"n_realizations": n_real,
+            "realization_seeds": realization_seeds(params.seed, n_real)}
 
 
 def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
     params = model_params(cfg)
-    n_real = n_realizations(cfg)
     times = time_grid(cfg, params)
-    eff0, effs = _initial_states(initial_pieces(cfg), params)
     lam = params.relaxation_rate
-
-    def run_one(p):
-        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0, times)
-
-    exact = ensemble_average(params, n_real, run_one)
-
-    def curve(states):
-        s = reduced_from_sector(states)
-        return [s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag]
-
+    exact, eff0, pieces = _exact_run(cfg, params, times)
     thetas = projector_thetas(cfg)
-    header = ["t", "exact_rho00", "exact_rho01_re", "exact_rho01_im"]
-    columns = [times] + curve(exact)
-    column_map = {}
-    for th in thetas:
-        tag = theta_tag(th)
-        column_map[f"tcl_{tag}"] = th
-        header += [f"tcl_{tag}_rho00", f"tcl_{tag}_rho01_re", f"tcl_{tag}_rho01_im"]
-        k = tcl_generator(th, params.xi, lam)
-        projected = apply_superop(projector_superop(th), eff0)
-        columns += curve(solve_tcl(k, projected, times, th))
+    tcl_thetas = {f"tcl_{theta_tag(th)}": th for th in thetas}
+    curves = {"exact": exact}
+    for name, th in tcl_thetas.items():
+        curves[name] = solve_tcl(tcl_generator(th, params.xi, lam),
+                                 apply_superop(projector_superop(th), eff0), times, th)
     if "ecps" in cfg:
-        header += ["ecps_rho00", "ecps_rho01_re", "ecps_rho01_im"]
-        columns += curve(ecps_evolve(effs, params.xi, lam, times))
+        curves["ecps"] = ecps_evolve(pieces, params.xi, lam, times)
 
+    header, columns = ["t"], [times]
+    for name, states in curves.items():
+        s = reduced_from_sector(states)
+        header += [f"{name}_rho00", f"{name}_rho01_re", f"{name}_rho01_im"]
+        columns += [s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag]
     csv_path = out_dir / "compare.csv"
     _write_csv(csv_path, header, zip(*columns))
     _write_metadata(out_dir, cfg, params, {
-        "n_realizations": n_real,
-        "realization_seeds": realization_seeds(params.seed, n_real),
+        **_realizations(cfg, params),
         "projector_thetas": thetas,
-        "tcl_column_thetas": column_map,
+        "tcl_column_thetas": tcl_thetas,
         "time_points": len(times),
         "t_max": float(times[-1]),
     })
@@ -177,23 +176,17 @@ def run_choi_scan(cfg: dict, out_dir: Path) -> list[Path]:
 def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     params = model_params(cfg)
     t_inf = end_time(cfg, params)
-    n_real = n_realizations(cfg)
     lam = params.relaxation_rate
     pi4 = np.pi / 4
-    eff0, effs = _initial_states(initial_pieces(cfg), params)
-
-    def run_one(p):
-        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0,
-                            np.array([0.0, t_inf]))
-
-    exact = reduced_from_sector(ensemble_average(params, n_real, run_one)[-1])
+    states, eff0, pieces = _exact_run(cfg, params, np.array([0.0, t_inf]))
+    exact = reduced_from_sector(states[-1])
 
     k4 = tcl_generator(pi4, params.xi, lam)
     cps = steady_state(k4, apply_superop(projector_superop(pi4), eff0), pi4)
     cps_sys = reduced_from_sector(cps)
 
     ecps_eff = sum(w * steady_state(tcl_generator(th, params.xi, lam), eff, th)
-                   for w, eff, th in effs if w > 0)
+                   for w, eff, th in pieces if w > 0)
     ecps_sys = reduced_from_sector(ecps_eff)
 
     labels = ["rho00", "rho11", "rho01_re", "rho01_im"]
@@ -208,8 +201,7 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
                [(label, ex[i], cp[i], ec[i], abs(cp[i] - ex[i]), abs(ec[i] - ex[i]))
                 for i, label in enumerate(labels)])
     _write_metadata(out_dir, cfg, params, {
-        "n_realizations": n_real,
-        "realization_seeds": realization_seeds(params.seed, n_real),
+        **_realizations(cfg, params),
         "t_infinity": t_inf,
         **{key: float(cfg["steady_state"][key])
            for key in ("p1", "p_excited", "coherence")},
@@ -246,7 +238,7 @@ fig, (ax_pop, ax_coh) = plt.subplots(2, 1, figsize=(7, 8), sharex=True)
 ax_pop.plot(t, data["exact_rho00"], "k-", lw=2, label="exact")
 for name in header:
     if name.endswith("_rho00") and name != "exact_rho00":
-        ax_pop.plot(t, data[name], "--", label=name[:-7])
+        ax_pop.plot(t, data[name], "--", label=name[:-6])
 ax_pop.set_ylabel("rho00")
 ax_pop.legend()
 coh = [(re ** 2 + im ** 2) ** 0.5
@@ -271,9 +263,9 @@ def _seed_report(cfg: dict) -> str:
     params = model_params(cfg)
     lines = [f"algorithm: {RNG_ALGORITHM}", f"base seed: {params.seed}"]
     if "realizations" in _SECTIONS[cfg["experiment"]]:
-        n_real = n_realizations(cfg)
-        lines += [f"realizations: {n_real}", "realization seeds: " + ", ".join(
-            str(s) for s in realization_seeds(params.seed, n_real))]
+        drawn = _realizations(cfg, params)
+        lines += [f"realizations: {drawn['n_realizations']}", "realization seeds: "
+                  + ", ".join(str(s) for s in drawn["realization_seeds"])]
     return "\n".join(lines)
 
 

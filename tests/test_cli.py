@@ -1,5 +1,9 @@
 import csv
 import json
+import runpy
+import sys
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +74,16 @@ class TestValidate:
 
     def test_unreadable_config(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) == 2
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        # a Latin-1 e-acute in a comment is not valid UTF-8
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"# caf\xe9\n" + yaml.safe_dump(compare_cfg()).encode())
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: cannot read config") == 2
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def ecps_cfg(weights):
@@ -390,6 +404,46 @@ class TestCompare:
                      str(tmp_path / "out")]) == 2
 
 
+class TestComparePlot:
+    """The emitted plot.py draws, in each panel, one line per curve of
+    compare.csv: exact, each TCL projector and, when configured, ECPS."""
+
+    @staticmethod
+    def run_plot(monkeypatch, out):
+        fig, axes = mock.Mock(), (mock.Mock(), mock.Mock())
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = mock.Mock(return_value=(fig, axes))
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.use = mock.Mock()
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        runpy.run_path(str(out / "plot.py"))
+        matplotlib.use.assert_called_once_with("Agg")
+        fig.savefig.assert_called_once()
+        assert fig.savefig.call_args.args[0] == out / "compare.png"
+        return axes
+
+    @pytest.mark.parametrize("ecps", [False, True], ids=["tcl", "tcl+ecps"])
+    def test_one_line_per_curve(self, tmp_path, monkeypatch, capsys, ecps):
+        cfg_dict = TestValidate.ecps_cfg([0.5, 0.5]) if ecps else compare_cfg()
+        out = (tmp_path / "out").resolve()
+        assert main(["compare", "--config", write_cfg(tmp_path, cfg_dict),
+                     "--out", str(out)]) == 0
+        ax_pop, ax_coh = self.run_plot(monkeypatch, out)
+        header, rows = read_csv(out / "compare.csv")
+        col = {name: rows[:, i] for i, name in enumerate(header)}
+        curves = ["exact", "tcl_0p0000pi", "tcl_0p2500pi"] + ["ecps"] * ecps
+        for ax in (ax_pop, ax_coh):
+            assert [c.kwargs["label"] for c in ax.plot.call_args_list] == curves
+        for name, pop, coh in zip(curves, ax_pop.plot.call_args_list,
+                                  ax_coh.plot.call_args_list):
+            assert pop.args[0] == coh.args[0] == list(col["t"])
+            assert pop.args[1] == list(col[f"{name}_rho00"])
+            np.testing.assert_allclose(coh.args[1], np.hypot(
+                col[f"{name}_rho01_re"], col[f"{name}_rho01_im"]), rtol=1e-14, atol=0)
+
+
 class TestChoiScan:
     @staticmethod
     def cfg(xi_values, theta_points=64):
@@ -542,6 +596,24 @@ class TestSeedReport:
         assert "Philox" in out
         assert "base seed: 321" in out
         assert "321, 322, 323" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "999"], ["--realizations", "3"],
+                                       ["--seed", "999", "--realizations", "3"]],
+                             ids=["config", "seed", "realizations", "both"])
+    @pytest.mark.parametrize("experiment", ["compare", "steady-state"])
+    def test_matches_the_run_metadata(self, tmp_path, capsys, experiment, flags):
+        cfg_dict = compare_cfg() if experiment == "compare" else TestSteadyState.cfg()
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["seed-report", "--config", cfg] + flags) == 0
+        report = dict(line.split(": ", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        out = tmp_path / "out"
+        assert main([experiment, "--config", cfg, "--out", str(out)] + flags) == 0
+        resolved = json.loads((out / "metadata.json").read_text())["resolved"]
+        assert report["base seed"] == str(resolved["base_seed"])
+        assert report["realizations"] == str(resolved["n_realizations"])
+        assert report["realization seeds"] == ", ".join(
+            str(s) for s in resolved["realization_seeds"])
 
     def test_choi_scan_reports_no_realizations(self, tmp_path, capsys):
         # the Choi scan draws no couplings, so there are no realization seeds

@@ -1,9 +1,11 @@
 """The shipped configs reproduce their recorded outputs.
 
-``tests/golden/<config>/`` holds the CSVs that ``ecps <experiment> --config
-configs/<config>.yaml`` wrote when they were recorded. A refactor or an
-optimization must reproduce every numeric cell to GOLDEN_TOL; text cells
-(headers, row labels) must be equal.
+``tests/golden/<config>/`` holds the CSVs and the ``metadata.json`` that
+``ecps <experiment> --config configs/<config>.yaml`` wrote when they were
+recorded. A refactor or an optimization must reproduce every numeric CSV cell
+to GOLDEN_TOL, and text cells (headers, row labels) must be equal. The
+metadata must be equal as parsed JSON, exactly: it is the provenance a run is
+repeated from, so no number in it may move.
 """
 import csv
 import gzip
@@ -62,6 +64,8 @@ def test_shipped_config_matches_golden(name, tmp_path):
     for golden in goldens:
         _assert_cells_match(golden.name, _cells(tmp_path / golden.name),
                             _cells(golden))
+    assert (json.loads((tmp_path / "metadata.json").read_text(encoding="utf-8"))
+            == json.loads((GOLDEN / name / "metadata.json").read_text(encoding="utf-8")))
 
 
 def test_choi_fine_matches_benchmark_reference(tmp_path):
