@@ -234,8 +234,9 @@ def _check_experiment_sections(cfg: dict):
     if kind == "choi-scan":
         return
     if rate <= 0 and (kind == "steady-state" or "t_max" not in cfg.get("time_grid", {})):
-        raise ConfigError(f"relaxation rate vanishes (alpha = 0), and {kind} sets "
-                          "its times in 1/rate; compare takes a time_grid.t_max")
+        why = "underflows to 0" if params.alpha else "vanishes"
+        raise ConfigError(f"relaxation rate {why} at alpha = {params.alpha!r}, and {kind} "
+                          "sets its times in 1/rate; compare takes a time_grid.t_max")
     if not np.isfinite(end_time(cfg, params)):
         raise ConfigError(f"{kind} end time overflows at relaxation rate {rate!r}")
     pieces = initial_pieces(cfg)

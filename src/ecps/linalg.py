@@ -3,13 +3,15 @@
 Matrices are plain numpy arrays of complex128 in row-major (C) order. The
 problem sizes in this package (at most a few hundred rows) never justify
 sparse storage, so everything below is a thin, well-tested layer over
-numpy/LAPACK with the package-wide tolerances pinned in one place.
+numpy/LAPACK. Its structural predicates take no tolerance: each judges a
+matrix against its own scale, so no verdict depends on the matrix's units.
 """
 from __future__ import annotations
 
 import numpy as np
 
-#: tolerance for structural predicates (hermiticity, positivity)
+#: structural tolerance, relative to the scale of the matrix judged: its
+#: largest entry modulus for Hermiticity, the unit trace of a density matrix
 STRUCTURAL_TOL = 1e-10
 
 
@@ -20,26 +22,27 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
-def is_hermitian(m, tol: float = STRUCTURAL_TOL) -> bool:
+def is_hermitian(m) -> bool:
+    """Square and max|m - m^dagger| <= STRUCTURAL_TOL * max|m|."""
     m = _as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
+    return m.shape[0] == m.shape[1] and \
+        np.abs(m - m.conj().T).max() <= STRUCTURAL_TOL * np.abs(m).max()
 
 
-def is_density(m, tol: float = STRUCTURAL_TOL) -> bool:
-    """Hermitian, unit trace and eigenvalues >= -tol.
-
-    The eigenvalue bound is tested as a Cholesky factorization of
-    m + tol * I, which exists exactly when every eigenvalue exceeds -tol
-    (the boundary itself is decided by rounding); it costs about a quarter
-    of a full eigenvalue computation.
+def is_density(m) -> bool:
+    """Hermitian, unit trace and eigenvalues >= -STRUCTURAL_TOL (the trace
+    sets a density matrix's scale). The eigenvalue bound is tested as a
+    Cholesky factorization of m + STRUCTURAL_TOL * I, which exists exactly
+    when every eigenvalue exceeds -STRUCTURAL_TOL (the boundary itself is
+    decided by rounding); it costs about a quarter of an eigendecomposition.
     """
     m = _as_matrix(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         return False
-    if abs(np.trace(m) - 1.0) > tol:
+    if abs(np.trace(m) - 1.0) > STRUCTURAL_TOL:
         return False
     shifted = m.copy()
-    shifted.flat[::m.shape[0] + 1] += tol
+    shifted.flat[::m.shape[0] + 1] += STRUCTURAL_TOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -47,15 +50,15 @@ def is_density(m, tol: float = STRUCTURAL_TOL) -> bool:
     return True
 
 
-def eig_hermitian(m, tol: float = STRUCTURAL_TOL):
+def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
     whose columns are eigenvectors, so ``m = v @ diag(w) @ v.conj().T``.
-    Raises ValueError on non-Hermitian input.
+    Raises ValueError on input that ``is_hermitian`` refuses.
     """
     m = _as_matrix(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
     return w, v

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
+from .linalg import eig_hermitian, is_density
 from .superop import (apply_superop, projector_superop, tcl_generator, unvec,
                       vec)
 
@@ -58,8 +58,8 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarra
     """Propagate vec(rho(t)) = expm(K t) vec(rho0) on a uniform time grid with
     the step propagator expm(K dt); returns the (T, 4, 4) effective states.
 
-    ``times`` must be a finite uniform grid increasing from 0, or the single
-    time 0; any other grid raises ValueError. ``rho0`` must already be
+    ``times`` must be a finite uniform grid increasing from exactly 0, or the
+    single time 0; any other grid raises ValueError. ``rho0`` must already be
     invariant under the projector for ``theta`` (within HOMOGENEITY_TOL);
     otherwise a HomogeneityError signals a misconfigured homogeneous
     equation.
@@ -71,8 +71,7 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarra
         raise ValueError("generator must be 16 x 16")
     if rho0.shape != (4, 4):
         raise ValueError("initial effective state must be 4 x 4")
-    if times.ndim != 1 or times.size == 0 or not abs(times[0]) <= 1e-12 \
-            or not np.isfinite(times).all():
+    if times.ndim != 1 or times.size == 0 or times[0] != 0 or not np.isfinite(times).all():
         raise ValueError("times must be a uniform grid increasing from 0")
     dts = np.diff(times)
     dt = dts[0] if dts.size else 0.0
@@ -108,7 +107,7 @@ def ecps_evolve(components, xi: float, lam: float, times) -> np.ndarray:
     total = np.zeros((times.size, 4, 4), dtype=complex)
     for i, (weight, state, theta) in enumerate(components):
         state = np.asarray(state, dtype=complex)
-        if not is_density(state, 1e-9):
+        if not is_density(state):
             raise ValueError(f"component {i} state is not a density matrix")
         k = tcl_generator(theta, xi, lam)
         try:
@@ -122,20 +121,19 @@ def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:
     """t -> infinity limit of solve_tcl: the orthogonal projection of rho0
     onto ker K.
 
-    ``k`` must be Hermitian (relative to its largest entry, within the
-    structural tolerance), as every projected generator is; anything else
+    ``k`` must be Hermitian, as every projected generator is; anything else
     raises ValueError. With orthonormal eigenvectors V, expm(K t) tends to
     V0 V0^dagger, V0 the eigenvectors of the zero eigenvalues. Conserved
-    quantities make multi-dimensional kernels the norm here. The kernel and
-    the divergence test are judged relative to the largest eigenvalue
-    modulus of K, so the result does not depend on the overall rate scale;
+    quantities make multi-dimensional kernels the norm here. Hermiticity,
+    the kernel and the divergence test are judged relative to the scale of
+    K, so the result does not depend on the overall rate scale;
     K = 0 returns rho0. Raises DivergenceError when K has a positive
     eigenvalue (the homogeneous equation has no steady state then).
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
     _require_homogeneous(rho0, theta)
-    w, v = eig_hermitian(k, STRUCTURAL_TOL * np.abs(k).max())
+    w, v = eig_hermitian(k)
     tol = KERNEL_TOL * np.abs(w).max()
     if w[-1] > tol:
         raise DivergenceError(

@@ -3,11 +3,13 @@
 
 Criteria 3-6 validate the solvers against exact composite dynamics and
 closed-form limits; criterion 7 checks the paper's ECPS claim against the
-best single projector. Criteria 1 and 2c check the projected generator and its
-remainder Delta against independent oracles: criterion 1 against the
-closed-form rate tables, criterion 2c against the Choi spectrum of Delta built
-from the exact coupling average of the second-order TCL generator
-(``oracles.tcl2_wick_generator``, Isserlis/Wick contraction at finite N and t).
+best single projector, and criterion 8 checks that the Choi-scan diagnostic
+predicts which single projector is the better one. Criteria 1 and 2c check
+the projected generator and its remainder Delta against independent oracles:
+criterion 1 against the closed-form rate tables, criterion 2c against the
+Choi spectrum of Delta built from the exact coupling average of the
+second-order TCL generator (``oracles.tcl2_wick_generator``, Isserlis/Wick
+contraction at finite N and t).
 The tables were corrected against that oracle: two tabulated lines
 (d(p3 + p0) at theta = 0, d D01 at pi/4) and the extension to complex states
 were wrong, and the generator was right.
@@ -17,8 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from ecps import (ModelParams, apply_superop, build_hamiltonian, choi_matrix,
-                  delta_superop, ecps_evolve, effective_generator_full,
+from ecps import (STRUCTURAL_TOL, ModelParams, apply_superop, build_hamiltonian,
+                  choi_matrix, delta_superop, ecps_evolve, effective_generator_full,
                   ensemble_average, evolve_exact, initial_state,
                   projector_superop, sample_couplings, scan_delta,
                   sector_variables, singular_values, solve_tcl, steady_state,
@@ -339,16 +341,16 @@ def test_criterion_6_effective_space_faithfulness():
         f"component deviations in SE units:\n{np.round(n_se, 2)}")
 
 
-def test_criterion_7_ecps_tracks_what_each_single_projector_misses():
-    # compare_population's settings at xi = 0.5 and R = 16 realizations, with
-    # steady_state.yaml's half/half decomposition: diag(0.9, 0.1) (x) I/2
-    # under theta = 0 and the coherent state (x) plus projector under pi/4.
-    # Measured: ECPS 0.0057 (rho00) and 0.0056 (|rho01|); theta = 0 misses
-    # |rho01| by 0.0865; theta = pi/4 misses rho00 at t_max by 0.0250.
-    start = time.time()
-    params = ModelParams(n_levels=60, delta_eps=0.5, alpha=5e-3, xi=0.5, seed=20260809)
+def _half_half_run(xi, n_realizations, points):
+    """Criterion 7's setting at one xi: compare_population's model (N = 60,
+    alpha = 0.005, seed 20260809) and steady_state.yaml's half/half
+    decomposition, diag(0.9, 0.1) (x) I/2 under theta = 0 and the coherent
+    state (x) plus projector under pi/4, on ``points`` times over 5/lambda.
+    Returns the per-time misses (|delta rho00|, |delta |rho01||) of the
+    theta = 0, theta = pi/4 and ECPS curves against the exact average."""
+    params = ModelParams(n_levels=60, delta_eps=0.5, alpha=5e-3, xi=xi, seed=20260809)
     lam = params.relaxation_rate
-    times = np.linspace(0.0, 5.0 / lam, 400)
+    times = np.linspace(0.0, 5.0 / lam, points)
     pieces = [(0.5, np.diag([0.9, 0.1]).astype(complex), "maximally_mixed", 0.0),
               (0.5, 0.5 * np.array([[1.0, 0.8], [0.8, 1.0]], dtype=complex),
                "plus_projector", PI4)]
@@ -360,20 +362,25 @@ def test_criterion_7_ecps_tracks_what_each_single_projector_misses():
     def run_one(p):
         return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0, times)
 
-    exact = reduced_from_sector(ensemble_average(params, 16, run_one))
+    exact = reduced_from_sector(ensemble_average(params, n_realizations, run_one))
     curves = {th: reduced_from_sector(solve_tcl(
-        tcl_generator(th, params.xi, lam), apply_superop(projector_superop(th), eff0),
+        tcl_generator(th, xi, lam), apply_superop(projector_superop(th), eff0),
         times, th)) for th in (0.0, PI4)}
-    curves["ecps"] = reduced_from_sector(ecps_evolve(effs, params.xi, lam, times))
+    curves["ecps"] = reduced_from_sector(ecps_evolve(effs, xi, lam, times))
+    return {name: (np.abs(s[:, 0, 0].real - exact[:, 0, 0].real),
+                   np.abs(np.abs(s[:, 0, 1]) - np.abs(exact[:, 0, 1])))
+            for name, s in curves.items()}
 
-    def misses(s):
-        """|delta rho00| and |delta |rho01|| against the exact curve, per time."""
-        return (np.abs(s[:, 0, 0].real - exact[:, 0, 0].real),
-                np.abs(np.abs(s[:, 0, 1]) - np.abs(exact[:, 0, 1])))
 
-    ecps_pop, ecps_coh = (d.max() for d in misses(curves["ecps"]))
-    zero_coh = misses(curves[0.0])[1].max()
-    pi4_pop_end = misses(curves[PI4])[0][-1]
+def test_criterion_7_ecps_tracks_what_each_single_projector_misses():
+    # xi = 0.5 and R = 16 realizations in _half_half_run's setting.
+    # Measured: ECPS 0.0057 (rho00) and 0.0056 (|rho01|); theta = 0 misses
+    # |rho01| by 0.0865; theta = pi/4 misses rho00 at t_max by 0.0250.
+    start = time.time()
+    misses = _half_half_run(0.5, 16, 400)
+    ecps_pop, ecps_coh = (d.max() for d in misses["ecps"])
+    zero_coh = misses[0.0][1].max()
+    pi4_pop_end = misses[PI4][0][-1]
     elapsed = time.time() - start
     ok = (ecps_pop <= 0.012 and ecps_coh <= 0.012 and zero_coh > 0.04
           and pi4_pop_end > 0.012 and elapsed < 60.0)
@@ -385,3 +392,46 @@ def test_criterion_7_ecps_tracks_what_each_single_projector_misses():
     assert ecps_pop <= 0.012 and ecps_coh <= 0.012
     assert zero_coh > 0.04
     assert pi4_pop_end > 0.012
+
+
+def test_criterion_8_choi_scan_predicts_the_better_projector():
+    # _half_half_run at R = 8 and 200 times over seven xi; the bounds below
+    # were fixed from this table before the test (max |delta rho00| /
+    # max |delta |rho01||, sv1 of Choi(P_theta G (1 - P_theta)) at lambda = 1):
+    #   xi    sv1(0)  sv1(pi/4)  theta = 0        theta = pi/4     ECPS
+    #   0     0       0.5        0.0107 / 0.0160  0.0977 / 0.0160  0.0107 / 0.0160
+    #   0.1   0.005   0.405      0.0091 / 0.0142  0.0930 / 0.0161  0.0091 / 0.0161
+    #   0.25  0.031   0.281      0.0071 / 0.0160  0.0744 / 0.0154  0.0071 / 0.0154
+    #   0.5   0.125   0.125      0.0052 / 0.0868  0.0239 / 0.0053  0.0052 / 0.0053
+    #   0.75  0.281   0.031      0.0106 / 0.1829  0.0089 / 0.0013  0.0106 / 0.0013
+    #   0.9   0.405   0.005      0.0121 / 0.2164  0.0120 / 0.0023  0.0121 / 0.0023
+    #   1     0.5     0          0.0112 / 0.2238  0.0112 / 0.0028  0.0112 / 0.0028
+    # Rule 1: where the two projectors' errors on an observable differ by more
+    # than 3x and their sv1 differ (beyond rounding: at xi = 0.5 both are
+    # 0.125), the smaller sv1 has the smaller error. Rule 2: ECPS is within
+    # 0.002 of the better projector on both observables (the largest gaps:
+    # 0.0019 on |rho01| at xi = 0.1, 0.0018 on rho00 at xi = 0.75).
+    start = time.time()
+    xis = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    sv1 = scan_delta(xis, [0.0, PI4], 1.0)[:, :, 0]
+    wrong, judged, ecps_gap = [], 0, 0.0
+    for xi, (sv_zero, sv_pi4) in zip(xis, sv1):
+        misses = _half_half_run(xi, 8, 200)
+        for obs, name in enumerate(("rho00", "|rho01|")):
+            zero, pi4, ecps = (misses[key][obs].max() for key in (0.0, PI4, "ecps"))
+            ecps_gap = max(ecps_gap, ecps - min(zero, pi4))
+            if max(zero, pi4) > 3 * min(zero, pi4) \
+                    and abs(sv_zero - sv_pi4) > STRUCTURAL_TOL * max(sv_zero, sv_pi4):
+                judged += 1
+                if (sv_zero < sv_pi4) != (zero < pi4):
+                    wrong.append(f"xi = {xi} {name}: sv1 {sv_zero:.3f} / {sv_pi4:.3f}, "
+                                 f"errors {zero:.4f} / {pi4:.4f}")
+    elapsed = time.time() - start
+    ok = judged and not wrong and ecps_gap <= 0.002 and elapsed < 60.0
+    report(8, ok,
+           f"runtime {elapsed:.1f}s; of {judged} points where sv1 decides, the "
+           f"smaller sv1 mispredicts the better projector at {wrong or 'none'}; "
+           f"ECPS at most {ecps_gap:.4f} (<= 0.002) above the better projector")
+    assert elapsed < 60.0
+    assert judged > 0 and wrong == []
+    assert ecps_gap <= 0.002

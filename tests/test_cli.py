@@ -153,7 +153,53 @@ class TestValidate:
         cfg = write_cfg(tmp_path, cfg_dict)
         assert main(["validate", "--config", cfg]) == 2
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: relaxation rate vanishes at alpha = 0.0" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["compare", "steady-state"])
+    def test_underflowing_rate_exit_2(self, tmp_path, capsys, experiment):
+        # alpha ** 2 underflows to 0 at alpha = 1e-163, which is not 0
+        cfg_dict = compare_cfg() if experiment == "compare" else TestSteadyState.cfg()
+        cfg_dict["model"]["alpha"] = 1e-163
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: relaxation rate underflows to 0 at alpha = 1e-163" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        # JSON Schema's integer takes a number with a zero fraction
+        outputs = []
+        for i, number in enumerate((int, float)):
+            cfg_dict = compare_cfg(n_levels=number(60), seed=number(20260809))
+            cfg_dict["time_grid"]["points"] = number(40)
+            cfg_dict["realizations"] = number(1)
+            cfg = write_cfg(tmp_path, cfg_dict, f"cfg{i}.yaml")
+            assert main(["validate", "--config", cfg]) == 0
+            out = tmp_path / f"out{i}"
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out / "compare.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("path, value", [
+        (("model", "n_levels"), True), (("model", "alpha"), False),
+        (("model", "seed"), True), (("realizations",), True),
+        (("time_grid", "points"), True)],
+        ids=["n_levels-true", "alpha-false", "seed-true", "realizations-true",
+             "points-true"])
+    def test_boolean_for_a_number_exit_2(self, tmp_path, capsys, path, value):
+        cfg_dict = compare_cfg()
+        node = cfg_dict
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid at $" in err and repr(path[-1]) in err
         assert not (tmp_path / "out").exists()
 
     def test_coinciding_column_tags_exit_2(self, tmp_path, capsys):

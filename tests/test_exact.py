@@ -155,8 +155,9 @@ class TestEvolveExact:
         for bad in (eff0 * 2, non_hermitian, rho0):
             with pytest.raises(ValueError):
                 evolve_exact(h, bad, [0.0, 1.0])
-        with pytest.raises(ValueError):
-            evolve_exact(h, eff0, [1.0, 2.0])
+        for times in ([1.0, 2.0], [1e-13, 1.0], [-1e-300, 1.0]):
+            with pytest.raises(ValueError):
+                evolve_exact(h, eff0, times)
         with pytest.raises(ValueError):
             evolve_exact(h, eff0, [0.0, 2.0, 1.0])
         for times in ([0.0, np.nan], [np.nan], [np.nan, 1.0],
@@ -171,6 +172,18 @@ class TestEvolveExact:
             h_bad[0, 1] = h_bad[1, 0] = bad
             with pytest.raises(ValueError):
                 evolve_exact(h_bad, eff0, [0.0, 1.0])
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("scale", [1e-100, 1e8, 1e100])
+    def test_scale_covariant(self, xi, scale):
+        # s h on times t / s is h on times t; a Hermiticity defect is judged
+        # against the scale of h, at unlinked pairs (xi = 0) and in blocks
+        h, rho0 = setup(params(n_levels=6, xi=xi))
+        eff0, times = sector_variables(rho0), np.linspace(0, 60, 25)
+        ref = evolve_exact(h, eff0, times)
+        assert np.abs(evolve_exact(scale * h, eff0, times / scale) - ref).max() <= 1e-12
+        with pytest.raises(ValueError):
+            evolve_exact(scale * (h + 1e-6j * np.eye(h.shape[0])), eff0, times)
 
     def test_checks_only_the_effective_state(self, monkeypatch):
         shapes = []

@@ -117,7 +117,7 @@ class TestPredicates:
     def test_structural(self):
         rng = np.random.default_rng(9)
         h = random_hermitian(rng, 5)
-        assert is_hermitian(h, STRUCTURAL_TOL)
+        assert is_hermitian(h)
         assert not is_hermitian(h + 1e-6 * 1j * np.eye(5))
         _, v = eig_hermitian(h)
         assert np.abs(v @ v.conj().T - np.eye(5)).max() <= STRUCTURAL_TOL
@@ -125,6 +125,27 @@ class TestPredicates:
         assert is_density(random_density(rng, 6))
         assert not is_density(2 * random_density(rng, 6))
         assert not is_density(np.diag([1.5, -0.5]).astype(complex))
+
+
+class TestRelativeTolerance:
+    """Hermiticity is judged against the matrix's own largest entry."""
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-8, 1.0, 1e8, 1e100])
+    def test_verdicts_do_not_depend_on_the_scale(self, scale):
+        rng = np.random.default_rng(11)
+        h = random_hermitian(rng, 6)
+        skew = 1j * np.eye(6)
+        rounded, broken = scale * (h + 1e-13 * skew), scale * (h + 1e-8 * skew)
+        assert is_hermitian(scale * h) and is_hermitian(rounded)
+        assert not is_hermitian(broken)
+        w, _ = eig_hermitian(rounded)
+        assert np.abs(w / scale - np.linalg.eigvalsh(h)).max() <= 1e-12
+        with pytest.raises(ValueError):
+            eig_hermitian(broken)
+
+    def test_zero_matrix_is_hermitian(self):
+        assert is_hermitian(np.zeros((3, 3)))
+        assert not is_hermitian(np.zeros((3, 3)) + 1e-300j * np.eye(3))
 
 
 class TestIsDensityPositivity:
@@ -148,4 +169,4 @@ class TestIsDensityPositivity:
         assert abs(np.trace(m) - 1.0) <= 1e-12
         by_eigvalsh = np.linalg.eigvalsh(m).min() >= -tol
         assert by_eigvalsh == (lam_min >= -tol)
-        assert is_density(m, tol) == by_eigvalsh
+        assert is_density(m) == by_eigvalsh

@@ -2,8 +2,9 @@
 name in ``ecps.__all__`` is loaded somewhere in the package outside
 ``__init__.py``; every top-level function and class of a module outside
 ``__init__.py`` is loaded somewhere in the package; no such module
-imports a name it never loads; and only ``model.pair_slices`` reads the
-(system, level, branch) layout of composite matrices."""
+imports a name it never loads; only ``model.pair_slices`` reads the
+(system, level, branch) layout of composite matrices; and no function takes
+a ``tol`` parameter."""
 import ast
 from pathlib import Path
 
@@ -66,4 +67,16 @@ def test_only_model_reshapes_to_the_composite_axes():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "reshape" and len(node.args) == 6]
+    assert found == []
+
+
+def test_no_function_takes_a_tolerance():
+    # a structural check judges a matrix against its own scale (linalg), so
+    # no caller picks the tolerance
+    found = [f"{module}:{node.lineno}" for module, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                         node.args.vararg, node.args.kwarg)
+             if arg is not None and arg.arg == "tol"]
     assert found == []
