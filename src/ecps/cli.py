@@ -179,27 +179,20 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     lam = params.relaxation_rate
     pi4 = np.pi / 4
     states, eff0, pieces = _exact_run(cfg, params, np.array([0.0, t_inf]))
-    exact = reduced_from_sector(states[-1])
-
-    k4 = tcl_generator(pi4, params.xi, lam)
-    cps = steady_state(k4, apply_superop(projector_superop(pi4), eff0), pi4)
-    cps_sys = reduced_from_sector(cps)
-
-    ecps_eff = sum(w * steady_state(tcl_generator(th, params.xi, lam), eff, th)
-                   for w, eff, th in pieces if w > 0)
-    ecps_sys = reduced_from_sector(ecps_eff)
-
-    labels = ["rho00", "rho11", "rho01_re", "rho01_im"]
-
-    def parts(m):
-        return [m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag]
-
-    ex, cp, ec = parts(exact), parts(cps_sys), parts(ecps_sys)
+    curves = {
+        "exact": states[-1],
+        "cps_pi4": steady_state(tcl_generator(pi4, params.xi, lam),
+                                apply_superop(projector_superop(pi4), eff0), pi4),
+        "ecps": sum(w * steady_state(tcl_generator(th, params.xi, lam), eff, th)
+                    for w, eff, th in pieces if w > 0),
+    }
+    s = reduced_from_sector(np.array(list(curves.values())))
+    quantities = {"rho00": s[:, 0, 0].real, "rho11": s[:, 1, 1].real,
+                  "rho01_re": s[:, 0, 1].real, "rho01_im": s[:, 0, 1].imag}
+    errors = [f"{n.removesuffix('_pi4')}_abs_err" for n in curves][1:]  # cps, ecps
     steady_path = out_dir / "steady.csv"
-    _write_csv(steady_path, ["quantity", "exact", "cps_pi4", "ecps",
-                             "cps_abs_err", "ecps_abs_err"],
-               [(label, ex[i], cp[i], ec[i], abs(cp[i] - ex[i]), abs(ec[i] - ex[i]))
-                for i, label in enumerate(labels)])
+    _write_csv(steady_path, ["quantity", *curves, *errors],
+               [(q, *v, *np.abs(v[1:] - v[0])) for q, v in quantities.items()])
     _write_metadata(out_dir, cfg, params, {
         **_realizations(cfg, params),
         "t_infinity": t_inf,
@@ -226,33 +219,21 @@ import matplotlib.pyplot as plt
 
 here = Path(__file__).resolve().parent
 with open(here / "compare.csv", newline="") as fh:
-    reader = csv.reader(fh)
-    header = next(reader)
-    data = {name: [] for name in header}
-    for row in reader:
-        for name, val in zip(header, row):
-            data[name].append(float(val))
+    header, *rows = csv.reader(fh)
+data = {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
 
 t = data["t"]
 fig, (ax_pop, ax_coh) = plt.subplots(2, 1, figsize=(7, 8), sharex=True)
-ax_pop.plot(t, data["exact_rho00"], "k-", lw=2, label="exact")
-for name in header:
-    if name.endswith("_rho00") and name != "exact_rho00":
-        ax_pop.plot(t, data[name], "--", label=name[:-6])
-ax_pop.set_ylabel("rho00")
-ax_pop.legend()
-coh = [(re ** 2 + im ** 2) ** 0.5
-       for re, im in zip(data["exact_rho01_re"], data["exact_rho01_im"])]
-ax_coh.plot(t, coh, "k-", lw=2, label="exact")
-for name in header:
-    if name.endswith("_rho01_re") and not name.startswith("exact"):
-        stem = name[:-9]
-        mag = [(re ** 2 + im ** 2) ** 0.5
-               for re, im in zip(data[name], data[stem + "_rho01_im"])]
-        ax_coh.plot(t, mag, "--", label=stem)
+for stem in [name[:-6] for name in header if name.endswith("_rho00")]:
+    style = {"color": "k", "lw": 2} if stem == "exact" else {"ls": "--"}
+    coh = [(re ** 2 + im ** 2) ** 0.5
+           for re, im in zip(data[stem + "_rho01_re"], data[stem + "_rho01_im"])]
+    ax_pop.plot(t, data[stem + "_rho00"], label=stem, **style)
+    ax_coh.plot(t, coh, label=stem, **style)
 ax_coh.set_xlabel("t")
-ax_coh.set_ylabel("|rho01|")
-ax_coh.legend()
+for ax, label in ((ax_pop, "rho00"), (ax_coh, "|rho01|")):
+    ax.set_ylabel(label)
+    ax.legend()
 fig.tight_layout()
 fig.savefig(here / "compare.png", dpi=150)
 print(here / "compare.png")

@@ -11,6 +11,7 @@ experiment check then runs the runners' own readers, ``initial_pieces`` and
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import yaml
@@ -155,6 +156,11 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                 raise yaml.constructor.ConstructorError(
                     None, None, f"repeated key {key!r}", node.value[i][0].start_mark)
         return super().construct_mapping(node, deep)
+
+
+# YAML 1.2 exponent floats that YAML 1.1 reads as strings (5e-3, 6e1, 1.5e3)
+_UniqueKeyLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def load_config(path) -> dict:

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
+from .linalg import eig_hermitian, is_density, is_hermitian
 from .model import ModelParams, pair_slices
 
 
@@ -150,12 +150,11 @@ def _block_eigen(h: np.ndarray):
     blocks = []
     for pairs in dict.fromkeys(tuple(np.flatnonzero(row)) for row in reach):
         if len(pairs) == 1 and not links[pairs[0], pairs[0]]:
-            # a pair with no off-diagonal entry is its own eigenbasis;
-            # |h_ii - conj(h_ii)| = 2 |Im h_ii|, judged as is_hermitian would
-            diag = np.diagonal(s[pairs[0]][pairs[0]])
-            if not 2 * np.abs(diag.imag).max() <= STRUCTURAL_TOL * np.abs(diag).max():
+            # a pair with no off-diagonal entry is its own eigenbasis
+            alone = s[pairs[0]][pairs[0]]
+            if not is_hermitian(alone):
                 raise ValueError("evolve_exact requires a Hermitian matrix")
-            w, vecs = diag.real.copy(), np.eye(diag.size, dtype=complex)
+            w, vecs = np.diagonal(alone).real.copy(), np.eye(len(alone), dtype=complex)
         else:
             w, vecs = eig_hermitian(np.block([[s[r][c] for c in pairs]
                                               for r in pairs]))
@@ -174,8 +173,8 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
     into blocks, and the sector variables are read out of their eigenbases
     for all times at once, exactly at any spectrum (see the module docstring).
     Hermiticity of ``h`` is checked per block (``eig_hermitian``) and on the
-    diagonal of the unlinked pairs; the links are symmetrized, so a one-sided
-    entry joins its two pairs and fails the block's check.
+    slice of each unlinked pair (``is_hermitian``); the links are symmetrized,
+    so a one-sided entry joins its two pairs and fails the block's check.
     """
     h = np.asarray(h, dtype=complex)
     eff0 = np.asarray(eff0, dtype=complex)

@@ -15,19 +15,19 @@ The solver deliberately refuses unprojected initial states instead of
 projecting them silently: a nonzero irrelevant part means the homogeneous
 equation being solved is not the right equation for that state, and hiding
 that is exactly the failure mode this package exists to demonstrate. Callers
-apply the projector first (see :func:`ecps.superop.projector_superop`).
+apply the projector first (see :func:`ecps.superop.projector_superop`). The
+irrelevant part is judged against the state's own scale, so no verdict
+depends on its units: max|(I - P_theta) rho0| <= STRUCTURAL_TOL * max|rho0|.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import eig_hermitian, is_density
+from .linalg import STRUCTURAL_TOL, eig_hermitian, is_density
 from .superop import (apply_superop, projector_superop, tcl_generator, unvec,
                       vec)
 
-#: residual above which an initial state counts as unprojected
-HOMOGENEITY_TOL = 1e-10
 #: spectral tolerance for the steady-state kernel projection, relative to the
 #: largest eigenvalue modulus of the generator (every rate scales with lambda)
 KERNEL_TOL = 1e-9
@@ -46,9 +46,9 @@ class DivergenceError(RuntimeError):
 
 def _require_homogeneous(rho0: np.ndarray, theta: float):
     """Raise HomogeneityError when the irrelevant part (I - P_theta) rho0
-    exceeds HOMOGENEITY_TOL in max-norm."""
+    exceeds STRUCTURAL_TOL * max|rho0| in max-norm."""
     resid = float(np.abs(apply_superop(projector_superop(theta), rho0) - rho0).max())
-    if resid > HOMOGENEITY_TOL:
+    if resid > STRUCTURAL_TOL * np.abs(rho0).max():
         raise HomogeneityError(
             f"initial state is not invariant under the theta={theta:.6g} projector "
             f"(residual {resid:.3e}); apply the projector first")
@@ -60,9 +60,9 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarra
 
     ``times`` must be a finite uniform grid increasing from exactly 0, or the
     single time 0; any other grid raises ValueError. ``rho0`` must already be
-    invariant under the projector for ``theta`` (within HOMOGENEITY_TOL);
-    otherwise a HomogeneityError signals a misconfigured homogeneous
-    equation.
+    invariant under the projector for ``theta``, max|(I - P_theta) rho0| <=
+    STRUCTURAL_TOL * max|rho0|; otherwise a HomogeneityError signals a
+    misconfigured homogeneous equation.
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -126,9 +126,10 @@ def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:
     V0 V0^dagger, V0 the eigenvectors of the zero eigenvalues. Conserved
     quantities make multi-dimensional kernels the norm here. Hermiticity,
     the kernel and the divergence test are judged relative to the scale of
-    K, so the result does not depend on the overall rate scale;
-    K = 0 returns rho0. Raises DivergenceError when K has a positive
-    eigenvalue (the homogeneous equation has no steady state then).
+    K, so the result does not depend on the overall rate scale: a rate w
+    with |w| <= KERNEL_TOL * max|w| counts as conserved, and K = 0 returns
+    rho0. Raises DivergenceError when K has a positive eigenvalue (the
+    homogeneous equation has no steady state then).
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)

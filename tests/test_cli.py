@@ -202,6 +202,37 @@ class TestValidate:
         assert "config invalid at $" in err and repr(path[-1]) in err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def respelled_cfg(tmp_path, name, key, decimal, spelling):
+        """A compare config file whose ``key: decimal`` line reads ``key:
+        spelling``, in YAML the dumper would not write."""
+        text = yaml.safe_dump(compare_cfg(alpha=0.005, n_levels=60))
+        assert f"{key}: {decimal}\n" in text
+        path = tmp_path / name
+        path.write_text(text.replace(f"{key}: {decimal}\n", f"{key}: {spelling}\n"))
+        return str(path)
+
+    @pytest.mark.parametrize("key, decimal, exponent", [
+        ("alpha", "0.005", "5e-3"), ("alpha", "0.005", "5E-3"),
+        ("n_levels", "60", "6e1")])
+    def test_exponent_floats_are_numbers(self, tmp_path, key, decimal, exponent):
+        # YAML 1.1 reads these as strings; YAML 1.2 and the config read numbers
+        outputs = []
+        for i, spelling in enumerate((decimal, exponent)):
+            cfg = self.respelled_cfg(tmp_path, f"cfg{i}.yaml", key, decimal, spelling)
+            out = tmp_path / f"out{i}"
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out / "compare.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_overflowing_exponent_exit_2(self, tmp_path, capsys):
+        cfg = self.respelled_cfg(tmp_path, "cfg.yaml", "alpha", "0.005", "1e400")
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid at $['model']['alpha']: inf is not finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_coinciding_column_tags_exit_2(self, tmp_path, capsys):
         # 0.0 and 1e-5 both give the TCL columns tcl_0p0000pi_*
         cfg_dict = compare_cfg()

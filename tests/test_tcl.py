@@ -101,6 +101,39 @@ class TestSolveTcl:
             assert np.abs(s - s.conj().T).max() <= 1e-12
 
 
+SOLVERS = {
+    "solve_tcl": lambda k, rho0, theta: solve_tcl(k, rho0, np.linspace(0, 1, 3), theta),
+    "steady_state": steady_state,
+}
+
+
+class TestHomogeneityScale:
+    """The irrelevant part of an initial state is judged against the state's
+    own scale, so the verdict does not depend on its units."""
+
+    @staticmethod
+    def states(theta):
+        """A full-rank state projected by P_theta, and one that keeps 10 % of
+        its irrelevant part."""
+        rng = np.random.default_rng(2006)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+        projected = project(rho, theta)
+        return projected, 0.9 * projected + 0.1 * rho
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8, 1e12])
+    @pytest.mark.parametrize("theta", [0.3, PI4], ids=["0.3", "pi4"])
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+    def test_projected_accepted_unprojected_refused(self, solver, theta, scale):
+        k = tcl_generator(theta, 0.5, 1.0)
+        projected, unprojected = self.states(theta)
+        expected = scale * solver(k, projected, theta)
+        result = solver(k, scale * projected, theta)
+        assert np.abs(result - expected).max() <= 1e-12 * scale
+        with pytest.raises(HomogeneityError):
+            solver(k, scale * unprojected, theta)
+
+
 class TestEcpsEvolve:
     def test_single_component_matches_solve_tcl(self):
         lam = 1.0
