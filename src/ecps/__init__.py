@@ -9,13 +9,12 @@ from .exact import (ensemble_average, evolve_exact, realization_seeds,
 from .superop import (apply_superop, choi_matrix, delta_superop,
                       effective_generator_full, projector_superop, scan_delta,
                       tcl_generator, unvec, vec)
-from .tcl import (DivergenceError, HomogeneityError, ecps_evolve, solve_tcl,
-                  steady_state)
+from .tcl import HomogeneityError, ecps_evolve, solve_tcl, steady_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DivergenceError", "HomogeneityError", "ModelParams", "STRUCTURAL_TOL",
+    "HomogeneityError", "ModelParams", "STRUCTURAL_TOL",
     "apply_superop", "build_hamiltonian", "choi_matrix",
     "delta_superop", "ecps_evolve", "effective_generator_full", "eig_hermitian",
     "ensemble_average", "evolve_exact", "initial_state", "is_density",

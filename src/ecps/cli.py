@@ -32,7 +32,8 @@ Output columns. A ``*_rho00`` column is the system population rho[0, 0], and
   where ``sv1`` is smallest) and ``min_max_sv`` (that smallest ``sv1``).
 
 Exit codes: 0 success; 2 usage or config error, or an output directory that
-cannot be created, before anything is computed; 3 numerical-precondition failure.
+cannot be created, before anything is computed; 3 numerical-precondition
+failure, the solvers' backstop behind the config check.
 """
 from __future__ import annotations
 
@@ -52,8 +53,7 @@ from .exact import (ensemble_average, evolve_exact, realization_seeds,
                     reduced_from_sector, sector_variables)
 from .model import build_hamiltonian, initial_state, sample_couplings
 from .superop import apply_superop, projector_superop, scan_delta, tcl_generator
-from .tcl import (DivergenceError, HomogeneityError, ecps_evolve, solve_tcl,
-                  steady_state)
+from .tcl import HomogeneityError, ecps_evolve, solve_tcl, steady_state
 
 RNG_ALGORITHM = "numpy Philox4x64-10 (counter-based), keyed via SeedSequence"
 
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         return 2
     try:
         files = _RUNNERS[args.command](cfg, Path(args.out))
-    except (HomogeneityError, DivergenceError) as exc:
+    except HomogeneityError as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 3
     for f in files:

@@ -5,8 +5,9 @@ the sections that experiment reads (``_SECTIONS``): compare reads
 realizations, initial_state or ecps, projectors and time_grid; choi-scan
 reads choi_scan; steady-state reads realizations and steady_state. A JSON
 schema checks types and ranges, so errors carry the offending path; the
-experiment check then runs the runners' own readers, ``initial_pieces`` and
-``projector_thetas``. The config is echoed into the output metadata.
+experiment check then runs the runners' own readers (``initial_pieces``,
+``projector_thetas``), and on the 4 x 4 pieces ``tcl.ecps_evolve``'s contract
+and ``evolve_exact``'s density rule. The config is echoed into the metadata.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from jsonschema import Draft202012Validator
 
 from .linalg import is_density
 from .model import ModelParams, branch_rotation
-from .tcl import WEIGHT_TOL
+from .tcl import ecps_evolve
 
 SCHEMA_VERSION = 1
 
@@ -214,7 +215,7 @@ def _check_experiment_sections(cfg: dict):
     """What the schema cannot say: the sections the experiment reads and
     needs, one end time per time grid, a finite relaxation rate (nonzero where
     times are set in its units), finite end times, distinct TCL column tags,
-    density system states and weights summing to 1 within WEIGHT_TOL."""
+    density system states, ecps pieces ecps_evolve takes and a density mixture."""
     kind = cfg["experiment"]
     for section in cfg:
         if section not in ("schema_version", "experiment", "model", *_SECTIONS[kind]):
@@ -231,10 +232,7 @@ def _check_experiment_sections(cfg: dict):
     elif _SECTIONS[kind][-1] not in cfg:
         raise ConfigError(f"{kind} needs a {_SECTIONS[kind][-1]!r} section")
     params = model_params(cfg)
-    try:
-        rate = params.relaxation_rate
-    except OverflowError:
-        rate = np.inf
+    rate = params.relaxation_rate
     if not np.isfinite(rate):
         raise ConfigError(f"relaxation rate overflows at alpha = {params.alpha!r}")
     if kind == "choi-scan":
@@ -248,10 +246,14 @@ def _check_experiment_sections(cfg: dict):
     pieces = initial_pieces(cfg)
     if not all(is_density(sysm) for _, sysm, _, _ in pieces):
         raise ConfigError("system state must be a 2 x 2 density matrix")
-    total = np.sum([w for w, *_ in pieces])
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ConfigError(f"ecps weights must sum to 1 within {WEIGHT_TOL:g}, "
-                          f"got {float(total)!r}")
+    pieces = [(w, np.kron(sysm, env), th) for w, sysm, env, th in pieces]
+    if "ecps" in cfg:   # its own contract; time 0 reads no rate
+        try:
+            ecps_evolve(pieces, params.xi, 1.0, [0.0])
+        except ValueError as exc:   # a HomogeneityError too
+            raise ConfigError(f"config invalid at $['ecps']: {exc}") from exc
+    if not is_density(sum(w * eff for w, eff, _ in pieces)):
+        raise ConfigError("initial state must be a 4 x 4 density matrix")
 
 
 def model_params(cfg: dict) -> ModelParams:

@@ -78,8 +78,8 @@ class ModelParams:
     @property
     def relaxation_rate(self) -> float:
         """Golden-rule rate lambda = alpha^2 * gamma * N that sets the clock
-        of the reduced dynamics."""
-        return self.alpha ** 2 * self.gamma * self.n_levels
+        of the reduced dynamics; inf, not an OverflowError, past the float range."""
+        return self.alpha * self.alpha * self.gamma * self.n_levels
 
     def with_seed(self, seed: int) -> "ModelParams":
         return replace(self, seed=int(seed))

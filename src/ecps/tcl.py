@@ -6,10 +6,12 @@ Components are ``(weight, 4 x 4 effective state, projector angle theta)``
 triples, and both solvers return the (T, 4, 4) effective states.
 
 The projected generators (:func:`ecps.superop.tcl_generator`) are Hermitian
-as 16 x 16 matrices, so their eigenvectors are orthonormal and the long-time
-limit is an orthogonal projection onto their kernel. :func:`solve_tcl` steps
-with expm(K dt) on grids from 0 whose steps agree to 1e-12 of the span, as
-``np.linspace`` steps do (they vary by about eps times the span).
+and negative semidefinite as 16 x 16 matrices, so their eigenvectors are
+orthonormal and the long-time limit is an orthogonal projection onto their
+kernel; :func:`steady_state` raises ValueError on any other K.
+:func:`solve_tcl` steps with expm(K dt) on grids from 0 whose steps agree to
+1e-12 of the span, as ``np.linspace`` steps do (they vary by about eps times
+the span).
 
 The solver deliberately refuses unprojected initial states instead of
 projecting them silently: a nonzero irrelevant part means the homogeneous
@@ -31,17 +33,12 @@ from .superop import (apply_superop, projector_superop, tcl_generator, unvec,
 #: spectral tolerance for the steady-state kernel projection, relative to the
 #: largest eigenvalue modulus of the generator (every rate scales with lambda)
 KERNEL_TOL = 1e-9
-#: how far the ECPS component weights may sum away from 1 (the config check
-#: uses the same bound, so a config that validates also runs)
+#: how far the ECPS component weights may sum away from 1
 WEIGHT_TOL = 1e-12
 
 
 class HomogeneityError(ValueError):
     """Initial state has a nonzero irrelevant part for the chosen projector."""
-
-
-class DivergenceError(RuntimeError):
-    """Generator has a spectral component growing in time; no steady state."""
 
 
 def _require_homogeneous(rho0: np.ndarray, theta: float):
@@ -121,15 +118,15 @@ def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:
     """t -> infinity limit of solve_tcl: the orthogonal projection of rho0
     onto ker K.
 
-    ``k`` must be Hermitian, as every projected generator is; anything else
-    raises ValueError. With orthonormal eigenvectors V, expm(K t) tends to
-    V0 V0^dagger, V0 the eigenvectors of the zero eigenvalues. Conserved
-    quantities make multi-dimensional kernels the norm here. Hermiticity,
-    the kernel and the divergence test are judged relative to the scale of
-    K, so the result does not depend on the overall rate scale: a rate w
-    with |w| <= KERNEL_TOL * max|w| counts as conserved, and K = 0 returns
-    rho0. Raises DivergenceError when K has a positive eigenvalue (the
-    homogeneous equation has no steady state then).
+    ``k`` must be Hermitian and negative semidefinite, as every projected
+    generator is; anything else raises ValueError (with a positive
+    eigenvalue the homogeneous equation has no steady state). With
+    orthonormal eigenvectors V, expm(K t) tends to V0 V0^dagger, V0 the
+    eigenvectors of the zero eigenvalues. Conserved quantities make
+    multi-dimensional kernels the norm here. Hermiticity, the kernel and the
+    sign are judged relative to the scale of K, so the result does not
+    depend on the overall rate scale: a rate w with |w| <= KERNEL_TOL *
+    max|w| counts as conserved, and K = 0 returns rho0.
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -137,7 +134,7 @@ def steady_state(k: np.ndarray, rho0: np.ndarray, theta: float) -> np.ndarray:
     w, v = eig_hermitian(k)
     tol = KERNEL_TOL * np.abs(w).max()
     if w[-1] > tol:
-        raise DivergenceError(
+        raise ValueError(
             f"generator has positive eigenvalues (max {w[-1]:.3e}); "
             f"solution diverges as t -> infinity")
     kernel = v[:, np.abs(w) <= tol]

@@ -3,6 +3,7 @@ import json
 import runpy
 import sys
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 import yaml
 
 import ecps.cli
+from ecps import HomogeneityError
 from ecps.cli import main
 from ecps.config import _SECTIONS, CONFIG_SCHEMA
 
 PI4 = float(np.pi / 4)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -121,9 +124,16 @@ class TestValidate:
 
     @pytest.mark.parametrize("case", ["weights_sum_1e-10_short",
                                       "weights_sum_0.9", "non_density_matrix",
-                                      *FIELD_ERRORS, "ecps_maximally_mixed_theta"])
+                                      *FIELD_ERRORS, "ecps_maximally_mixed_theta",
+                                      "mixture_trace_1.004e-10_over"])
     def test_configs_the_runner_rejects_exit_2(self, tmp_path, capsys, case):
-        if case == "non_density_matrix":
+        if case == "mixture_trace_1.004e-10_over":
+            # each piece passes: its trace is off by 9.95e-11 and the weight
+            # sum by 9e-13, but their mixture's trace is off by 1.004e-10
+            cfg_dict = self.ecps_cfg([0.5, 0.5 + 9e-13])
+            for piece in cfg_dict["ecps"]:
+                piece["system"]["populations"] = [0.5, 0.5 + 9.95e-11]
+        elif case == "non_density_matrix":
             cfg_dict = compare_cfg()
             cfg_dict["initial_state"]["system"] = {
                 "kind": "matrix", "entries_re": [[1.0, 0.9], [0.9, 0.0]]}
@@ -140,6 +150,28 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 2
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_angle", [0.0, 1e-12, 1e-6])
+    @pytest.mark.parametrize("d_weight", [0.0, 9e-13, -9e-13])
+    @pytest.mark.parametrize("d_trace", [0.0, 9.95e-11, 1.01e-10, -9.9e-11])
+    def test_what_validate_accepts_compare_runs(self, tmp_path, d_trace, d_weight,
+                                                d_angle):
+        # two theta = 0 pieces near every bound: the trace of each system
+        # state, the weight sum, their mixture's trace and homogeneity
+        cfg_dict = self.ecps_cfg([0.5, 0.5 + d_weight])
+        cfg_dict["model"]["n_levels"] = 2
+        cfg_dict["time_grid"]["points"] = 3
+        cfg_dict["ecps"][1]["environment"] = {"kind": "branch_projector",
+                                              "theta": d_angle}
+        for piece in cfg_dict["ecps"]:
+            piece["system"]["populations"] = [0.5, 0.5 + d_trace]
+        cfg = write_cfg(tmp_path, cfg_dict)
+        accepted = abs(d_trace) < 1e-10 and abs(d_trace + d_weight) < 1e-10 \
+            and d_angle < 1e-6
+        code = 0 if accepted else 2
+        assert main(["validate", "--config", cfg]) == code
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert (tmp_path / "out").exists() == accepted
 
 
     @pytest.mark.parametrize("experiment", ["compare", "steady-state"])
@@ -461,19 +493,36 @@ class TestCompare:
         header, _ = read_csv(out / "compare.csv")
         assert "ecps_rho00" in header
 
-    def test_non_homogeneous_ecps_exit_3(self, tmp_path, capsys):
-        cfg_dict = compare_cfg()
+    def test_non_homogeneous_ecps_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a plus-projector environment under the theta = 0 projector is
+        # refused at load, by ecps_evolve's own check, before any draw
+        cfg_dict = yaml.safe_load((CONFIGS / "compare_mixed_population.yaml").read_text())
         del cfg_dict["initial_state"]
-        # plus-projector environment assigned to the theta=0 projector
+        cfg_dict["realizations"] = 16
         cfg_dict["ecps"] = [
             {"weight": 1.0, "theta": 0.0,
              "system": {"kind": "diagonal", "populations": [0.9, 0.1]},
              "environment": {"kind": "plus_projector"}},
         ]
         cfg = write_cfg(tmp_path, cfg_dict)
-        assert main(["compare", "--config", cfg, "--out",
-                     str(tmp_path / "out")]) == 3
-        assert "component 0" in capsys.readouterr().err
+        monkeypatch.setattr(ecps.cli, "sample_couplings", mock.Mock(
+            side_effect=AssertionError("a coupling was drawn")))
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config invalid at $['ecps']: component 0:") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_solver_refusal_is_the_exit_3_backstop(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the runner builds its pieces on another route than the config
+        # check, so a state may pass one and not the other in the last bits
+        def refuse(*args):
+            raise HomogeneityError("component 0: not invariant")
+        monkeypatch.setattr(ecps.cli, "ecps_evolve", refuse)
+        cfg = write_cfg(tmp_path, TestValidate.ecps_cfg([0.5, 0.5]))
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "numerical precondition failed: component 0" in capsys.readouterr().err
 
     def test_subcommand_mismatch_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, compare_cfg())

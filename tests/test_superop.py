@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecps import (apply_superop, choi_matrix, delta_superop,
+from ecps import (STRUCTURAL_TOL, apply_superop, choi_matrix, delta_superop,
                   effective_generator_full, projector_superop, scan_delta,
                   singular_values, tcl_generator, unvec, vec)
 
@@ -134,13 +134,16 @@ class TestTclGenerator:
             assert abs(np.trace(apply_superop(k, e))) <= 1e-12
 
     def test_spectrum_is_stable(self):
-        # no growing modes anywhere on the parameter square
+        # no growing modes anywhere on the parameter square, at any rate
+        # scale: max Re w is judged against max|w|, since at lam = 1e12 the
+        # rounding alone gives max Re w of about 2e-4
         worst = -np.inf
-        for xi in np.linspace(0, 1, 9):
-            for theta in np.linspace(0, PI4, 7):
-                ev = np.linalg.eigvals(tcl_generator(theta, xi, 1.0))
-                worst = max(worst, ev.real.max())
-        assert worst <= 1e-12
+        for lam in (1e-12, 1.0, 1e12):
+            for xi in np.linspace(0, 1, 9):
+                for theta in np.linspace(0, PI4, 7):
+                    ev = np.linalg.eigvals(tcl_generator(theta, xi, lam))
+                    worst = max(worst, ev.real.max() / np.abs(ev).max())
+        assert worst <= STRUCTURAL_TOL
 
 
 class TestHermitian:
