@@ -6,8 +6,8 @@ realizations, initial_state or ecps, projectors and time_grid; choi-scan
 reads choi_scan; steady-state reads realizations and steady_state. A JSON
 schema checks types and ranges, so errors carry the offending path; the
 experiment check then runs the runners' own readers (``initial_pieces``,
-``projector_thetas``), and on the 4 x 4 pieces ``tcl.ecps_evolve``'s contract
-and ``evolve_exact``'s density rule. The config is echoed into the metadata.
+``projector_thetas``), the solvers' grid rule on compare's times, and on the
+4 x 4 pieces ``ecps_evolve``'s contract and ``evolve_exact``'s density rule.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator
 
 from .linalg import is_density
 from .model import ModelParams, branch_rotation
-from .tcl import ecps_evolve
+from .tcl import _grid_step, ecps_evolve
 
 SCHEMA_VERSION = 1
 
@@ -147,8 +147,8 @@ _SECTIONS = {
 }
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """yaml.SafeLoader that refuses a mapping with a repeated key."""
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml's safe loader, libyaml's where present, refusing a repeated key."""
 
     def construct_mapping(self, node, deep=False):
         keys = [self.construct_object(key, deep=deep) for key, _ in node.value]
@@ -214,8 +214,8 @@ def _floats(node, where="$"):
 def _check_experiment_sections(cfg: dict):
     """What the schema cannot say: the sections the experiment reads and
     needs, one end time per time grid, a finite relaxation rate (nonzero where
-    times are set in its units), finite end times, distinct TCL column tags,
-    density system states, ecps pieces ecps_evolve takes and a density mixture."""
+    times are set in its units), positive finite end times, times the solvers
+    take, distinct TCL tags, density system states and ecps pieces and mixture."""
     kind = cfg["experiment"]
     for section in cfg:
         if section not in ("schema_version", "experiment", "model", *_SECTIONS[kind]):
@@ -241,8 +241,13 @@ def _check_experiment_sections(cfg: dict):
         why = "underflows to 0" if params.alpha else "vanishes"
         raise ConfigError(f"relaxation rate {why} at alpha = {params.alpha!r}, and {kind} "
                           "sets its times in 1/rate; compare takes a time_grid.t_max")
-    if not np.isfinite(end_time(cfg, params)):
-        raise ConfigError(f"{kind} end time overflows at relaxation rate {rate!r}")
+    if not 0 < end_time(cfg, params) < np.inf:
+        raise ConfigError(f"{kind} end time out of range at relaxation rate {rate!r}")
+    if kind == "compare":   # the solvers' own grid rule
+        try:
+            _grid_step(time_grid(cfg, params))
+        except ValueError as exc:
+            raise ConfigError(f"config invalid at $['time_grid']: {exc}") from exc
     pieces = initial_pieces(cfg)
     if not all(is_density(sysm) for _, sysm, _, _ in pieces):
         raise ConfigError("system state must be a 2 x 2 density matrix")

@@ -52,10 +52,9 @@ eff0[r, c] I_N / N. So eff0 fixes rho0, and ``evolve_exact`` takes eff0
 
 Readout in the eigenbasis: the N rows of V for the pair r = 2l + j, A_r,
 are nonzero only on the eigenvector columns of the block of r, where they
-are N rows of the block's eigenvectors (the identity for a pair on its own).
-For a block pair (B, B'), B not after B', with the Gram blocks
-K_rc = A_r^T conj(A_c) for r in B and c in B' and the phases
-ph_a(t) = exp(-i w_a t), the theta = 0 entries are
+are N rows of the block's eigenvectors. For a block pair (B, B'), B not after
+B', with the Gram blocks K_rc = A_r^T conj(A_c) for r in B and c in B' and
+the phases ph_a(t) = exp(-i w_a t), the theta = 0 entries are
 
     eff[r, c](t) = sum_ab ph_a(t) M_rc[a, b] conj(ph_b(t))   (a in B, b in B'),
     M_rc = K_rc * rho_e      (elementwise product),
@@ -65,7 +64,9 @@ with rho_e the B x B' block of V^dagger rho0 V, so neither the whole V, nor
 rho0, nor rho_e by a matrix product, nor rho(t) is ever formed. Hermiticity
 (M_cr = M_rc^dagger) leaves 10 entries, one per pair {r, c}: within one block
 r <= c, where rho_e also takes conj(K_cr) = K_rc^T, and across two blocks
-every r in B and c in B'.
+every r in B and c in B'. A pair on its own has identity rows, never formed:
+its Gram blocks are conj(A_c), A_r^T or I. One block pair's K_rc (made M_rc
+in place) live at a time; h is freed before any eigh unless the caller keeps it.
 """
 from __future__ import annotations
 
@@ -129,15 +130,14 @@ def _pair_links(h: np.ndarray):
     return links, reach
 
 
-def _block_eigen(h: np.ndarray):
-    """Eigenpairs of h block by block, in the frame propagation runs in: the
-    Bell frame when the plain frame links all four pairs r = 2l + j.
+def _blocks(h: np.ndarray):
+    """(blocks, bell_frame): the blocks of h in the frame propagation runs in,
+    the Bell frame when the plain frame links all four pairs r = 2l + j.
 
-    Returns (blocks, bell_frame). The blocks are the connected sets of pairs,
-    ordered by their first pair, each as (pairs, w, rows): its pairs in
-    increasing order, its eigenvalues, and its eigenvector rows shaped
-    (len(pairs), N, w.size), rows[i] those of pair pairs[i].
-    """
+    The blocks are the connected sets of pairs, ordered by their first pair,
+    each as (pairs, m): its pairs in increasing order and a copy of its
+    matrix, or for a pair linked to nothing, its own eigenbasis, the real
+    diagonal (its eigenvalues)."""
     d = h.shape[0] if h.ndim == 2 else 0
     if h.shape != (d, d) or d == 0 or d % 4 or not np.isfinite(h).all():
         raise ValueError("h must be a finite 4N x 4N matrix")
@@ -149,17 +149,20 @@ def _block_eigen(h: np.ndarray):
     s = pair_slices(h)
     blocks = []
     for pairs in dict.fromkeys(tuple(np.flatnonzero(row)) for row in reach):
+        m = np.block([[s[r][c] for c in pairs] for r in pairs])
         if len(pairs) == 1 and not links[pairs[0], pairs[0]]:
-            # a pair with no off-diagonal entry is its own eigenbasis
-            alone = s[pairs[0]][pairs[0]]
-            if not is_hermitian(alone):
+            if not is_hermitian(m):
                 raise ValueError("evolve_exact requires a Hermitian matrix")
-            w, vecs = np.diagonal(alone).real.copy(), np.eye(len(alone), dtype=complex)
-        else:
-            w, vecs = eig_hermitian(np.block([[s[r][c] for c in pairs]
-                                              for r in pairs]))
-        blocks.append((pairs, w, vecs.reshape(len(pairs), -1, w.size)))
+            m = np.diagonal(m).real.copy()
+        blocks.append((pairs, m))
     return blocks, bell_frame
+
+
+def _gram(a_r, a_c, n: int) -> np.ndarray:
+    """A new K_rc = A_r^T conj(A_c); None stands for a lone pair's identity rows."""
+    if a_r is None:
+        return np.eye(n, dtype=complex) if a_c is None else a_c.conj()
+    return a_r.T.copy() if a_c is None else a_r.T @ a_c.conj()
 
 
 def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
@@ -185,40 +188,41 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
             or not np.all(np.diff(times) > 0) or not np.isfinite(times).all():
         raise ValueError("times must be finite and increase from 0")
 
-    blocks, bell_frame = _block_eigen(h)
-    pairs, w, rows = zip(*blocks)
-    coef = (_BELL @ eff0 @ _BELL / 2 if bell_frame else eff0) / (h.shape[0] // 4)
-    # the Gram blocks K_rc per block pair i <= j (within one block only r <= c)
-    grams = [(i, j, [(r, c, rows[i][x].T @ rows[j][y].conj())
-                     for x, r in enumerate(pairs[i]) for y, c in enumerate(pairs[j])
-                     if i < j or x <= y])
-             for i in range(len(w)) for j in range(i, len(w))]
-    del blocks, rows        # the eigenvectors, freed before rho_e
-    # rho_e on one block pair at a time (a lower peak RSS than all of it), from
-    # conj(K_rc), and within one block also conj(K_cr) = K_rc^T for r != c
-    for i, j, ks in grams:
-        rho_e = np.zeros((w[i].size, w[j].size), dtype=complex)
-        for r, c, k in ks:
-            rho_e += coef[r, c] * k.conj()
-            if i == j and r != c:
-                rho_e += coef[c, r] * k.T
-        for _, _, k in ks:
-            k *= rho_e      # M_rc
-    del rho_e
-
+    blocks, bell_frame = _blocks(h)
+    n = h.shape[0] // 4
+    del h       # the blocks are copies: a caller's temporary h goes before eigh
+    pairs, w, rows = zip(*((p, m, [None]) if m.ndim == 1 else (p, *eig_hermitian(m))
+                           for p, m in blocks))
+    del blocks
+    rows = [r if r[0] is None else r.reshape(len(p), n, -1) for p, r in zip(pairs, rows)]
+    coef = (_BELL @ eff0 @ _BELL / 2 if bell_frame else eff0) / n
     ph = [np.exp(p, out=p) for p in (np.multiply.outer(times, -1j * e) for e in w)]
-    # Ph M_rc reuses one buffer, so one T x width temporary is alive at a time
-    phm_buf = np.empty(times.size * max(e.size for e in w), dtype=complex)
     eff = np.empty((times.size, 4, 4), dtype=complex)
-    for i, j, ms in grams:
-        phm = phm_buf[:times.size * w[j].size].reshape(times.size, -1)
-        for r, c, m in ms:
-            np.matmul(ph[i], m, out=phm)
-            np.conjugate(phm, out=phm)
-            # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
-            entry = np.einsum('tb,tb->t', phm, ph[j])
-            eff[:, c, r] = entry.real if r == c else entry
-            eff[:, r, c] = eff[:, c, r].conj()
+    for i in range(len(w)):
+        for j in range(i, len(w)):
+            # the Gram blocks K_rc of this block pair (within one block r <= c)
+            ks = [(r, c, _gram(rows[i][x], rows[j][y], n))
+                  for x, r in enumerate(pairs[i]) for y, c in enumerate(pairs[j])
+                  if i < j or x <= y]
+            # rho_e, within one block also from conj(K_cr) = K_rc^T (r != c)
+            rho_e = np.zeros((w[i].size, w[j].size), dtype=complex)
+            buf = np.empty_like(rho_e)
+            for r, c, k in ks:
+                rho_e += np.multiply(coef[r, c], np.conjugate(k, out=buf), out=buf)
+                if i == j and r != c:
+                    rho_e += np.multiply(coef[c, r], k.T, out=buf)
+            for _, _, k in ks:
+                k *= rho_e      # M_rc
+            del rho_e, buf
+            phm = np.empty((times.size, w[j].size), dtype=complex)
+            for r, c, m in ks:
+                np.matmul(ph[i], m, out=phm)
+                np.conjugate(phm, out=phm)
+                # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
+                entry = np.einsum('tb,tb->t', phm, ph[j])
+                eff[:, c, r] = entry.real if r == c else entry
+                eff[:, r, c] = eff[:, c, r].conj()
+            del ks, phm     # this pair's blocks, freed before the next pair's
     if bell_frame:
         eff = _BELL @ eff @ _BELL / 2
     return eff

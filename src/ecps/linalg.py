@@ -60,8 +60,7 @@ def eig_hermitian(m):
     m = _as_matrix(m)
     if not is_hermitian(m):
         raise ValueError("eig_hermitian requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(m)
 
 
 def singular_values(m) -> np.ndarray:

@@ -51,6 +51,16 @@ def _require_homogeneous(rho0: np.ndarray, theta: float):
             f"(residual {resid:.3e}); apply the projector first")
 
 
+def _grid_step(times: np.ndarray) -> float:
+    """The step of a grid ``solve_tcl`` takes, or 0 for the time 0 alone."""
+    if times.ndim != 1 or times.size == 0 or times[0] != 0 or not np.isfinite(times).all():
+        raise ValueError("times must be a uniform grid increasing from 0")
+    dts = np.diff(times)
+    if dts.size and not (dts[0] > 0 and np.abs(dts - dts[0]).max() <= 1e-12 * times[-1]):
+        raise ValueError("times must be a uniform grid increasing from 0")
+    return dts[0] if dts.size else 0.0
+
+
 def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarray:
     """Propagate vec(rho(t)) = expm(K t) vec(rho0) on a uniform time grid with
     the step propagator expm(K dt); returns the (T, 4, 4) effective states.
@@ -68,12 +78,7 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarra
         raise ValueError("generator must be 16 x 16")
     if rho0.shape != (4, 4):
         raise ValueError("initial effective state must be 4 x 4")
-    if times.ndim != 1 or times.size == 0 or times[0] != 0 or not np.isfinite(times).all():
-        raise ValueError("times must be a uniform grid increasing from 0")
-    dts = np.diff(times)
-    dt = dts[0] if dts.size else 0.0
-    if dts.size and not (dt > 0 and np.abs(dts - dt).max() <= 1e-12 * times[-1]):
-        raise ValueError("times must be a uniform grid increasing from 0")
+    dt = _grid_step(times)
     _require_homogeneous(rho0, theta)
 
     step = expm(k * dt)
@@ -92,9 +97,7 @@ def ecps_evolve(components, xi: float, lam: float, times) -> np.ndarray:
     violation raises HomogeneityError naming the component. Weights must be
     positive and sum to 1 within WEIGHT_TOL.
     """
-    components = list(components)
-    if not components:
-        raise ValueError("need at least one component")
+    components = list(components)     # an empty list fails the weight sum
     weights = np.array([w for w, _, _ in components], dtype=float)
     if np.any(weights <= 0):
         raise ValueError("component weights must be positive")

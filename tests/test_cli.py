@@ -125,9 +125,15 @@ class TestValidate:
     @pytest.mark.parametrize("case", ["weights_sum_1e-10_short",
                                       "weights_sum_0.9", "non_density_matrix",
                                       *FIELD_ERRORS, "ecps_maximally_mixed_theta",
-                                      "mixture_trace_1.004e-10_over"])
+                                      "mixture_trace_1.004e-10_over",
+                                      "t_max_1e-318", "t_max_3e-321"])
     def test_configs_the_runner_rejects_exit_2(self, tmp_path, capsys, case):
-        if case == "mixture_trace_1.004e-10_over":
+        if case.startswith("t_max_"):
+            # subnormal grids: linspace's steps differ (1e-318), or some do
+            # not increase (3e-321), so the solvers refuse them
+            cfg_dict = compare_cfg()
+            cfg_dict["time_grid"] = {"t_max": float(case[6:]), "points": 400}
+        elif case == "mixture_trace_1.004e-10_over":
             # each piece passes: its trace is off by 9.95e-11 and the weight
             # sum by 9e-13, but their mixture's trace is off by 1.004e-10
             cfg_dict = self.ecps_cfg([0.5, 0.5 + 9e-13])
@@ -150,6 +156,14 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 2
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_large_alpha_grid_exit_0(self, tmp_path):
+        # the rate is finite, and t_max = 5 / rate a normal number
+        cfg_dict = compare_cfg(alpha=3e152, n_levels=2)
+        cfg_dict["time_grid"]["points"] = 3
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("d_angle", [0.0, 1e-12, 1e-6])
     @pytest.mark.parametrize("d_weight", [0.0, 9e-13, -9e-13])
@@ -324,6 +338,17 @@ class TestValidate:
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_steady_state_end_time_underflow_exit_2(self, tmp_path, capsys):
+        # 5e-324 / rate is 0 at a rate above 1, and the exact run's two
+        # times 0 and 0 do not increase
+        cfg_dict = TestSteadyState.cfg()
+        cfg_dict["model"]["alpha"] = 1.0
+        cfg_dict["steady_state"]["t_infinity_over_relaxation"] = 5e-324
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: steady-state end time out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment, section, value", [
         ("compare", "steady_state", {"p1": 0.5, "p_excited": 0.9, "coherence": 0.8}),

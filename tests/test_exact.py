@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -422,6 +425,51 @@ class TestBlocks:
         assert abs(np.linalg.eigvalsh(eff0)[0] + 1e-3) <= 1e-12
         with pytest.raises(ValueError):
             evolve_exact(h, eff0, [0.0, 1.0])
+
+
+class TestMemory:
+    """evolve_exact holds one block pair's matrices at a time, and a
+    temporary h is freed before the eigendecompositions: the traced peak at
+    N = 120, xi = 0 and two times, in units of h.nbytes."""
+
+    P = ModelParams(n_levels=120, delta_eps=0.5, alpha=0.005, xi=0.0, seed=3)
+    EFF0 = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
+    TIMES = np.array([0.0, 50.0 / P.relaxation_rate])
+
+    def _peak(self, monkeypatch, p, held):
+        cpl = sample_couplings(p)
+        h = build_hamiltonian(p, cpl)
+        calls = []
+        original = ecps.exact.eig_hermitian
+        monkeypatch.setattr(ecps.exact, "eig_hermitian",
+                            lambda m: calls.append(m.shape[0]) or original(m))
+        tracemalloc.start()
+        try:
+            if held:
+                states = evolve_exact(h, self.EFF0, self.TIMES)
+            else:   # as the CLI passes it, the build counted in the peak
+                states = evolve_exact(build_hamiltonian(p, cpl), self.EFF0, self.TIMES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / h.nbytes, calls, states
+
+    @pytest.mark.parametrize("held, bound", [(True, 1.8), (False, 2.0)],
+                             ids=["held", "temporary"])
+    def test_peak(self, monkeypatch, held, bound):
+        peak, calls, _ = self._peak(monkeypatch, self.P, held)
+        assert calls == [240]
+        assert peak <= bound
+
+    @pytest.mark.parametrize("held, bound", [(True, 0.5), (False, 1.5)],
+                             ids=["held", "temporary"])
+    def test_decoupled_pairs_take_no_eigh(self, monkeypatch, held, bound):
+        # at alpha = 0 every pair is on its own, so each Gram block is an
+        # N x N identity, and the level-uniform state does not move
+        peak, calls, states = self._peak(monkeypatch, replace(self.P, alpha=0.0), held)
+        assert calls == []
+        assert peak <= bound
+        assert np.abs(states - self.EFF0).max() <= 1e-15
 
 
 class TestEnsembleAverage:
