@@ -65,8 +65,10 @@ rho0, nor rho_e by a matrix product, nor rho(t) is ever formed. Hermiticity
 (M_cr = M_rc^dagger) leaves 10 entries, one per pair {r, c}: within one block
 r <= c, where rho_e also takes conj(K_cr) = K_rc^T, and across two blocks
 every r in B and c in B'. A pair on its own has identity rows, never formed:
-its Gram blocks are conj(A_c), A_r^T or I. One block pair's K_rc (made M_rc
-in place) live at a time; h is freed before any eigh unless the caller keeps it.
+its Gram blocks are conj(A_c), A_r^T or I. A K_rc costs N multiply-adds an
+entry, its readout T: at T >= N each K_rc is formed for rho_e and again for
+M_rc, at T < N a block pair's K_rc are held. Each block's phases and rows go
+after its last pair, W h W takes one array, and a temporary h goes before eigh.
 """
 from __future__ import annotations
 
@@ -103,16 +105,17 @@ _BELL_PAIRS = [(p, q, np.add if row[q] > 0 else np.subtract)
 
 
 def _bell_frame(m: np.ndarray) -> np.ndarray:
-    """W m W for W = U4 (x) I_N: unscaled sums and differences of the row
-    slices, then of the column slices, and one exact halving, so entries that
-    cancel exactly come out as exact zeros."""
-    rows, out = np.empty_like(m), np.empty_like(m)
-    t, o = pair_slices(rows), pair_slices(out)
-    # the column pass is the row pass on the transposed lists of slices
-    for src, dst in ((pair_slices(m), t), (list(zip(*t)), list(zip(*o)))):
-        for r, (p, q, op) in enumerate(_BELL_PAIRS):
-            for c in range(4):
-                op(src[p][c], src[q][c], out=dst[r][c])
+    """W m W for W = U4 (x) I_N in one new array: unscaled sums and
+    differences of the row slices, then of the column slices in place, and
+    one exact halving, so entries that cancel exactly come out as exact zeros."""
+    out = np.empty_like(m)
+    s, o = pair_slices(m), pair_slices(out)
+    for r, (p, q, op) in enumerate(_BELL_PAIRS):
+        for c in range(4):
+            op(s[p][c], s[q][c], out=o[r][c])
+    for row in o:   # columns p < q of a Bell pair become p + q and p - q
+        for p, q, _ in _BELL_PAIRS[:2]:
+            row[p][...], row[q][...] = np.add(row[p], row[q]), np.subtract(row[p], row[q])
     out *= 0.5
     return out
 
@@ -197,13 +200,16 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
     rows = [r if r[0] is None else r.reshape(len(p), n, -1) for p, r in zip(pairs, rows)]
     coef = (_BELL @ eff0 @ _BELL / 2 if bell_frame else eff0) / n
     ph = [np.exp(p, out=p) for p in (np.multiply.outer(times, -1j * e) for e in w)]
+    hold = times.size < n   # forming a K again costs N per entry, its readout T
     eff = np.empty((times.size, 4, 4), dtype=complex)
     for i in range(len(w)):
         for j in range(i, len(w)):
             # the Gram blocks K_rc of this block pair (within one block r <= c)
-            ks = [(r, c, _gram(rows[i][x], rows[j][y], n))
-                  for x, r in enumerate(pairs[i]) for y, c in enumerate(pairs[j])
-                  if i < j or x <= y]
+            def grams():    # new each call: held, or formed for rho_e and again for M
+                return ((r, c, _gram(rows[i][x], rows[j][y], n))
+                        for x, r in enumerate(pairs[i]) for y, c in enumerate(pairs[j])
+                        if i < j or x <= y)
+            ks = list(grams()) if hold else grams()
             # rho_e, within one block also from conj(K_cr) = K_rc^T (r != c)
             rho_e = np.zeros((w[i].size, w[j].size), dtype=complex)
             buf = np.empty_like(rho_e)
@@ -211,18 +217,24 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
                 rho_e += np.multiply(coef[r, c], np.conjugate(k, out=buf), out=buf)
                 if i == j and r != c:
                     rho_e += np.multiply(coef[c, r], k.T, out=buf)
-            for _, _, k in ks:
-                k *= rho_e      # M_rc
-            del rho_e, buf
+                del k       # so that a re-formed K is the only one alive
+            del buf
+            if hold:    # every M_rc in place, and rho_e freed before the readout
+                ks = [(r, c, np.multiply(k, rho_e, out=k)) for r, c, k in ks]
+                rho_e = None
             phm = np.empty((times.size, w[j].size), dtype=complex)
-            for r, c, m in ks:
+            for r, c, m in ks if hold else grams():
+                if not hold:
+                    m *= rho_e      # M_rc, one at a time
                 np.matmul(ph[i], m, out=phm)
                 np.conjugate(phm, out=phm)
                 # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
                 entry = np.einsum('tb,tb->t', phm, ph[j])
                 eff[:, c, r] = entry.real if r == c else entry
                 eff[:, r, c] = eff[:, c, r].conj()
-            del ks, phm     # this pair's blocks, freed before the next pair's
+                del m
+            del ks, phm, rho_e      # this pair's blocks, freed before the next pair's
+        ph[i] = rows[i] = None      # no later pair reads block i
     if bell_frame:
         eff = _BELL @ eff @ _BELL / 2
     return eff

@@ -222,7 +222,7 @@ class TestEigenbasisReadout:
 
     @pytest.mark.parametrize("env", ENVS)
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("n_levels", [1, 3, 6])
+    @pytest.mark.parametrize("n_levels", [1, 3, 6, 12])
     def test_matches_dense_reference(self, n_levels, xi, env):
         p = params(n_levels=n_levels, xi=xi, alpha=0.3)
         self._check(p, env, np.array([0.0, 0.1, 0.35, 2.0, 7.5, 40.0]))
@@ -428,15 +428,19 @@ class TestBlocks:
 
 
 class TestMemory:
-    """evolve_exact holds one block pair's matrices at a time, and a
-    temporary h is freed before the eigendecompositions: the traced peak at
-    N = 120, xi = 0 and two times, in units of h.nbytes."""
+    """The traced peak of evolve_exact, in units of h.nbytes. With T >= N
+    times each Gram block K_rc is formed twice, for rho_e and for its readout,
+    so one is alive at a time; with T < N one block pair's K_rc are held. A
+    block's phases and rows go after its last block pair, the Bell frame
+    W h W is built in one array, and a temporary h is freed before the
+    eigendecompositions. Cases: N = 120 at xi = 0 and 1 with two times (the
+    hold path), and N = 60, xi = 0.5 with 400 times (the re-form path)."""
 
     P = ModelParams(n_levels=120, delta_eps=0.5, alpha=0.005, xi=0.0, seed=3)
     EFF0 = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
     TIMES = np.array([0.0, 50.0 / P.relaxation_rate])
 
-    def _peak(self, monkeypatch, p, held):
+    def _peak(self, monkeypatch, p, held, times=TIMES):
         cpl = sample_couplings(p)
         h = build_hamiltonian(p, cpl)
         calls = []
@@ -446,19 +450,27 @@ class TestMemory:
         tracemalloc.start()
         try:
             if held:
-                states = evolve_exact(h, self.EFF0, self.TIMES)
+                states = evolve_exact(h, self.EFF0, times)
             else:   # as the CLI passes it, the build counted in the peak
-                states = evolve_exact(build_hamiltonian(p, cpl), self.EFF0, self.TIMES)
+                states = evolve_exact(build_hamiltonian(p, cpl), self.EFF0, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return peak / h.nbytes, calls, states
 
-    @pytest.mark.parametrize("held, bound", [(True, 1.8), (False, 2.0)],
-                             ids=["held", "temporary"])
-    def test_peak(self, monkeypatch, held, bound):
-        peak, calls, _ = self._peak(monkeypatch, self.P, held)
-        assert calls == [240]
+    # the one block that needs eigh: 2N at xi = 0 and 1, the 3N Bell-frame
+    # block at 0 < xi < 1
+    @pytest.mark.parametrize("n_levels, xi, points, held, bound, block", [
+        (120, 0.0, 2, True, 1.8, 240), (120, 0.0, 2, False, 2.0, 240),
+        (120, 1.0, 2, True, 1.8, 240), (120, 1.0, 2, False, 2.7, 240),
+        (60, 0.5, 400, True, 5.0, 180), (60, 0.5, 400, False, 5.0, 180)],
+        ids=["held", "temporary", "n120-xi1-held", "n120-xi1-temporary",
+             "n60-xi0.5-held", "n60-xi0.5-temporary"])
+    def test_peak(self, monkeypatch, n_levels, xi, points, held, bound, block):
+        p = replace(self.P, n_levels=n_levels, xi=xi)
+        times = np.linspace(0.0, self.TIMES[-1], points)
+        peak, calls, _ = self._peak(monkeypatch, p, held, times)
+        assert calls == [block]
         assert peak <= bound
 
     @pytest.mark.parametrize("held, bound", [(True, 0.5), (False, 1.5)],
