@@ -214,8 +214,9 @@ def _floats(node, where="$"):
 def _check_experiment_sections(cfg: dict):
     """What the schema cannot say: the sections the experiment reads and
     needs, one end time per time grid, a finite relaxation rate (nonzero where
-    times are set in its units), positive finite end times, times the solvers
-    take, distinct TCL tags, density system states and ecps pieces and mixture."""
+    times are set in its units), positive finite end times, finite phases
+    delta_eps * t, times the solvers take, distinct TCL tags, density system
+    states and ecps pieces and mixture."""
     kind = cfg["experiment"]
     for section in cfg:
         if section not in ("schema_version", "experiment", "model", *_SECTIONS[kind]):
@@ -241,8 +242,11 @@ def _check_experiment_sections(cfg: dict):
         why = "underflows to 0" if params.alpha else "vanishes"
         raise ConfigError(f"relaxation rate {why} at alpha = {params.alpha!r}, and {kind} "
                           "sets its times in 1/rate; compare takes a time_grid.t_max")
-    if not 0 < end_time(cfg, params) < np.inf:
+    t_end = end_time(cfg, params)
+    if not 0 < t_end < np.inf:
         raise ConfigError(f"{kind} end time out of range at relaxation rate {rate!r}")
+    if params.delta_eps * t_end == np.inf:      # Python floats: no warning
+        raise ConfigError(f"{kind} phases overflow: delta_eps * end time = inf")
     if kind == "compare":   # the solvers' own grid rule
         try:
             _grid_step(time_grid(cfg, params))

@@ -66,9 +66,9 @@ rho0, nor rho_e by a matrix product, nor rho(t) is ever formed. Hermiticity
 r <= c, where rho_e also takes conj(K_cr) = K_rc^T, and across two blocks
 every r in B and c in B'. A pair on its own has identity rows, never formed:
 its Gram blocks are conj(A_c), A_r^T or I. A K_rc costs N multiply-adds an
-entry, its readout T: at T >= N each K_rc is formed for rho_e and again for
-M_rc, at T < N a block pair's K_rc are held. Each block's phases and rows go
-after its last pair, W h W takes one array, and a temporary h goes before eigh.
+entry and its readout T, so at T < N a block pair's K_rc are formed once and
+held, and at T >= N each is formed again after rho_e, so that one is alive at a
+time. Either way each K_rc becomes M_rc in place just before its readout.
 """
 from __future__ import annotations
 
@@ -105,17 +105,14 @@ _BELL_PAIRS = [(p, q, np.add if row[q] > 0 else np.subtract)
 
 
 def _bell_frame(m: np.ndarray) -> np.ndarray:
-    """W m W for W = U4 (x) I_N in one new array: unscaled sums and
-    differences of the row slices, then of the column slices in place, and
-    one exact halving, so entries that cancel exactly come out as exact zeros."""
+    """W m W for W = U4 (x) I_N in one new array: each output slice in one pass
+    over the Bell pairs of its row and its column, unscaled, then one exact
+    halving, so entries that cancel exactly come out as exact zeros."""
     out = np.empty_like(m)
     s, o = pair_slices(m), pair_slices(out)
-    for r, (p, q, op) in enumerate(_BELL_PAIRS):
-        for c in range(4):
-            op(s[p][c], s[q][c], out=o[r][c])
-    for row in o:   # columns p < q of a Bell pair become p + q and p - q
-        for p, q, _ in _BELL_PAIRS[:2]:
-            row[p][...], row[q][...] = np.add(row[p], row[q]), np.subtract(row[p], row[q])
+    for r, (pr, qr, op_r) in enumerate(_BELL_PAIRS):
+        for c, (pc, qc, op_c) in enumerate(_BELL_PAIRS):
+            op_c(op_r(s[pr][pc], s[qr][pc]), op_r(s[pr][qc], s[qr][qc]), out=o[r][c])
     out *= 0.5
     return out
 
@@ -175,9 +172,10 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
 
     ``eff0`` is the 4 x 4 effective initial state and must be a density
     matrix and ``h`` a Hermitian 4N x 4N matrix, each judged against its own
-    scale; ``times`` must be finite and increase from exactly 0. ``h`` is split
-    into blocks, and the sector variables are read out of their eigenbases
-    for all times at once, exactly at any spectrum (see the module docstring).
+    scale; ``times`` must be finite and increase from exactly 0, with finite
+    phases w t_max for the eigenvalues w of ``h``. ``h`` is split into blocks,
+    and the sector variables are read out of their eigenbases for all times
+    at once, exactly at any spectrum (see the module docstring).
     Hermiticity of ``h`` is checked per block (``eig_hermitian``) and on the
     slice of each unlinked pair (``is_hermitian``); the links are symmetrized,
     so a one-sided entry joins its two pairs and fails the block's check.
@@ -197,6 +195,8 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
     pairs, w, rows = zip(*((p, m, [None]) if m.ndim == 1 else (p, *eig_hermitian(m))
                            for p, m in blocks))
     del blocks
+    if max(float(np.abs(e).max()) for e in w) * float(times[-1]) == np.inf:
+        raise ValueError("phases overflow: max|w| * t_max is not finite")
     rows = [r if r[0] is None else r.reshape(len(p), n, -1) for p, r in zip(pairs, rows)]
     coef = (_BELL @ eff0 @ _BELL / 2 if bell_frame else eff0) / n
     ph = [np.exp(p, out=p) for p in (np.multiply.outer(times, -1j * e) for e in w)]
@@ -204,28 +204,24 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
     eff = np.empty((times.size, 4, 4), dtype=complex)
     for i in range(len(w)):
         for j in range(i, len(w)):
-            # the Gram blocks K_rc of this block pair (within one block r <= c)
-            def grams():    # new each call: held, or formed for rho_e and again for M
-                return ((r, c, _gram(rows[i][x], rows[j][y], n))
-                        for x, r in enumerate(pairs[i]) for y, c in enumerate(pairs[j])
-                        if i < j or x <= y)
-            ks = list(grams()) if hold else grams()
+            # the entries of this block pair, within one block r <= c
+            ents = [(r, c, rows[i][x], rows[j][y]) for x, r in enumerate(pairs[i])
+                    for y, c in enumerate(pairs[j]) if i < j or x <= y]
+            ks = [_gram(a, b, n) for _, _, a, b in ents] if hold else None
             # rho_e, within one block also from conj(K_cr) = K_rc^T (r != c)
             rho_e = np.zeros((w[i].size, w[j].size), dtype=complex)
             buf = np.empty_like(rho_e)
-            for r, c, k in ks:
+            for q, (r, c, a, b) in enumerate(ents):
+                k = ks[q] if hold else _gram(a, b, n)
                 rho_e += np.multiply(coef[r, c], np.conjugate(k, out=buf), out=buf)
                 if i == j and r != c:
                     rho_e += np.multiply(coef[c, r], k.T, out=buf)
                 del k       # so that a re-formed K is the only one alive
             del buf
-            if hold:    # every M_rc in place, and rho_e freed before the readout
-                ks = [(r, c, np.multiply(k, rho_e, out=k)) for r, c, k in ks]
-                rho_e = None
             phm = np.empty((times.size, w[j].size), dtype=complex)
-            for r, c, m in ks if hold else grams():
-                if not hold:
-                    m *= rho_e      # M_rc, one at a time
+            for q, (r, c, a, b) in enumerate(ents):
+                m = ks[q] if hold else _gram(a, b, n)
+                m *= rho_e      # M_rc in place
                 np.matmul(ph[i], m, out=phm)
                 np.conjugate(phm, out=phm)
                 # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
@@ -233,7 +229,7 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
                 eff[:, c, r] = entry.real if r == c else entry
                 eff[:, r, c] = eff[:, c, r].conj()
                 del m
-            del ks, phm, rho_e      # this pair's blocks, freed before the next pair's
+            del ents, ks, phm, rho_e    # this pair's arrays, freed before the next pair's
         ph[i] = rows[i] = None      # no later pair reads block i
     if bell_frame:
         eff = _BELL @ eff @ _BELL / 2

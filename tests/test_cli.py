@@ -60,6 +60,14 @@ class TestValidate:
         cfg = write_cfg(tmp_path, compare_cfg())
         assert main(["validate", "--config", cfg]) == 0
         assert "config ok" in capsys.readouterr().out
+        # python -m ecps.cli: a fresh module, run as __main__, exits with main's code
+        with mock.patch.dict(sys.modules), \
+                mock.patch.object(sys, "argv", ["ecps", "validate", "--config", cfg]), \
+                pytest.raises(SystemExit) as done:
+            del sys.modules["ecps.cli"]
+            runpy.run_module("ecps.cli", run_name="__main__")
+        assert done.value.code == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_schema_error_exit_2(self, tmp_path, capsys):
         bad = compare_cfg()
@@ -69,11 +77,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "xi" in err
 
-    def test_missing_section_exit_2(self, tmp_path):
+    def test_missing_section_exit_2(self, tmp_path, capsys):
         bad = compare_cfg()
         del bad["initial_state"]
-        cfg = write_cfg(tmp_path, bad)
-        assert main(["validate", "--config", cfg]) == 2
+        # steady-state and choi-scan without their own section, and a root
+        # that is not a mapping of sections
+        steady, scan = TestSteadyState.cfg(), TestChoiScan.cfg([0.5])
+        del steady["steady_state"], scan["choi_scan"]
+        for cfg_dict in (bad, steady, scan, [bad]):
+            cfg = write_cfg(tmp_path, cfg_dict)
+            assert main(["validate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 4
+        assert "needs a 'steady_state' section" in err and "needs a 'choi_scan' section" in err
+        assert "config root must be a mapping" in err
 
     def test_unreadable_config(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) == 2
@@ -126,9 +143,16 @@ class TestValidate:
                                       "weights_sum_0.9", "non_density_matrix",
                                       *FIELD_ERRORS, "ecps_maximally_mixed_theta",
                                       "mixture_trace_1.004e-10_over",
-                                      "t_max_1e-318", "t_max_3e-321"])
+                                      "t_max_1e-318", "t_max_3e-321",
+                                      "delta_eps_1e160", "delta_eps_4_t_max_1e308"])
     def test_configs_the_runner_rejects_exit_2(self, tmp_path, capsys, case):
-        if case.startswith("t_max_"):
+        if case.startswith("delta_eps_"):
+            # phases delta_eps * t_max overflow: at 1e160 through t_max = 5 /
+            # rate, which grows as delta_eps, and at 4 through t_max itself
+            cfg_dict = compare_cfg(delta_eps=float(case.split("_")[2]))
+            if case.endswith("1e308"):
+                cfg_dict["time_grid"] = {"t_max": 1e308, "points": 5}
+        elif case.startswith("t_max_"):
             # subnormal grids: linspace's steps differ (1e-318), or some do
             # not increase (3e-321), so the solvers refuse them
             cfg_dict = compare_cfg()
@@ -349,6 +373,16 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 2
         assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "config error: steady-state end time out of range" in capsys.readouterr().err
+
+    def test_steady_state_phase_overflow_exit_2(self, tmp_path, capsys):
+        # 50 / rate grows as delta_eps, so delta_eps * end time overflows
+        cfg_dict = TestSteadyState.cfg()
+        cfg_dict["model"]["delta_eps"] = 1e200
+        cfg = write_cfg(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: steady-state phases overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, section, value", [
         ("compare", "steady_state", {"p1": 0.5, "p_excited": 0.9, "coherence": 0.8}),

@@ -170,11 +170,17 @@ class TestEvolveExact:
         for bad_h in (h[:-1, :-1], h[:, :-4], h[0], np.zeros((0, 0))):
             with pytest.raises(ValueError):
                 evolve_exact(bad_h, eff0, [0.0, 1.0])
+        for bad in (h[:-1, :-1], h[:, :-4], h[0]):
+            with pytest.raises(ValueError, match="4N x 4N"):
+                sector_variables(bad)
         for bad in (np.nan, np.inf):
             h_bad = h.copy()
             h_bad[0, 1] = h_bad[1, 0] = bad
             with pytest.raises(ValueError):
                 evolve_exact(h_bad, eff0, [0.0, 1.0])
+        # max|w| t_max = inf: the phases would be NaN
+        with pytest.raises(ValueError, match="phases overflow"):
+            evolve_exact(1e10 * h, eff0, [0.0, 1e300])
 
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("scale", [1e-100, 1e8, 1e100])
@@ -201,6 +207,21 @@ class TestEvolveExact:
             h, rho0 = setup(params(n_levels=5, xi=xi))
             evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
         assert shapes == [(4, 4)] * 3
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.02])
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("points, grams", [(11, 10), (12, 20), (13, 20)])
+    def test_forms_each_gram_block_once_below_n_times(self, monkeypatch, points,
+                                                       grams, xi, alpha):
+        # one Gram block per pair {r, c}, r <= c: at T < N it is held from
+        # rho_e to its readout, from T = N on it is formed again for it
+        calls = []
+        original = ecps.exact._gram
+        monkeypatch.setattr(ecps.exact, "_gram",
+                            lambda *args: calls.append(1) or original(*args))
+        h, rho0 = setup(params(n_levels=12, xi=xi, alpha=alpha))
+        evolve_exact(h, sector_variables(rho0), np.linspace(0.0, 10.0, points))
+        assert len(calls) == grams
 
 
 class TestEigenbasisReadout:
@@ -526,6 +547,8 @@ class TestEnsembleAverage:
         short, long = self._runner(times=np.linspace(0, 10, 4)), self._runner()
         with pytest.raises(ValueError):
             ensemble_average(p, 2, lambda q: (short if q.seed == p.seed else long)(q))
+        with pytest.raises(ValueError, match="n_realizations"):
+            ensemble_average(p, 0, long)
 
     def test_self_averaging_spread(self):
         # large-band instance: per-seed scatter of the final population is small

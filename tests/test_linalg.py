@@ -83,6 +83,8 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="expected a matrix"):
+            eig_hermitian(np.ones(4))
 
 
 class TestSingularValues:

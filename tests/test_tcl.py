@@ -31,6 +31,12 @@ class TestSolveTcl:
         with pytest.raises(HomogeneityError):
             solve_tcl(k, rho0, np.linspace(0, 1, 3), theta=0.0)
 
+    def test_rejects_other_shapes(self):
+        k, rho0 = tcl_generator(0.0, 0.2, 1.0), sector_unit(0, 0)
+        for bad_k, bad_rho0 in ((k[:4, :4], rho0), (k, rho0[:2, :2])):
+            with pytest.raises(ValueError, match="must be"):
+                solve_tcl(bad_k, bad_rho0, np.linspace(0, 1, 3), theta=0.0)
+
     def test_branch_channel_conserved_combos(self):
         # theta=0, xi=0, start in (sys0, sec1): coherences stay zero and the
         # (sys1,sec2)+(sys0,sec1) population pair is frozen
@@ -178,6 +184,9 @@ class TestEcpsEvolve:
         bad = (0.5, bad_state, 0.0)     # plus-sector state, wrong theta
         with pytest.raises(HomogeneityError, match="component 1"):
             ecps_evolve([good, bad], 0.0, 1.0, np.linspace(0, 1, 3))
+        with pytest.raises(ValueError, match="component 1 state is not a density"):
+            ecps_evolve([good, (0.5, 2 * sector_unit(0, 0), 0.0)], 0.0, 1.0,
+                        np.linspace(0, 1, 3))
 
     def test_validates_weights(self):
         comp = (0.6, sector_unit(0, 0), 0.0)
