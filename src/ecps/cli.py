@@ -33,7 +33,10 @@ Output columns. A ``*_rho00`` column is the system population rho[0, 0], and
 
 Exit codes: 0 success; 2 usage or config error, or an output directory that
 cannot be created, before anything is computed; 3 numerical-precondition
-failure, the solvers' backstop behind the config check.
+failure: any ValueError a runner raises after the config check, such as a
+state that is not homogeneous under its projector, overflowing phases of the
+exact propagation or non-finite TCL states. A coding error that raises
+ValueError reads the same way.
 """
 from __future__ import annotations
 
@@ -48,12 +51,12 @@ import numpy as np
 from . import __version__
 from .config import (_SECTIONS, ConfigError, SCHEMA_VERSION, end_time,
                      initial_pieces, load_config, model_params, n_realizations,
-                     projector_thetas, theta_tag, time_grid, with_overrides)
+                     projector_thetas, theta_tag, time_grid)
 from .exact import (ensemble_average, evolve_exact, realization_seeds,
                     reduced_from_sector, sector_variables)
 from .model import build_hamiltonian, initial_state, sample_couplings
 from .superop import apply_superop, projector_superop, scan_delta, tcl_generator
-from .tcl import HomogeneityError, ecps_evolve, solve_tcl, steady_state
+from .tcl import ecps_evolve, solve_tcl, steady_state
 
 RNG_ALGORITHM = "numpy Philox4x64-10 (counter-based), keyed via SeedSequence"
 
@@ -274,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = with_overrides(load_config(args.config), getattr(args, "seed", None),
-                             getattr(args, "realizations", None))
+        cfg = load_config(args.config, getattr(args, "seed", None),
+                          getattr(args, "realizations", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -299,7 +302,7 @@ def main(argv=None) -> int:
         return 2
     try:
         files = _RUNNERS[args.command](cfg, Path(args.out))
-    except HomogeneityError as exc:
+    except ValueError as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 3
     for f in files:

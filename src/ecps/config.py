@@ -3,9 +3,10 @@
 A config file selects the experiment kind, the model parameters and only
 the sections that experiment reads (``_SECTIONS``): compare reads
 realizations, initial_state or ecps, projectors and time_grid; choi-scan
-reads choi_scan; steady-state reads realizations and steady_state. A JSON
-schema checks types and ranges, so errors carry the offending path; the
-experiment check then runs the runners' own readers (``initial_pieces``,
+reads choi_scan; steady-state reads realizations and steady_state. The
+``--seed`` and ``--realizations`` overrides go in before the one validation.
+A JSON schema checks types and ranges, so errors carry the offending path;
+the experiment check then runs the runners' own readers (``initial_pieces``,
 ``projector_thetas``), the solvers' grid rule on compare's times, and on the
 4 x 4 pieces ``ecps_evolve``'s contract and ``evolve_exact``'s density rule.
 """
@@ -164,9 +165,11 @@ _UniqueKeyLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
-def load_config(path) -> dict:
-    """Read and validate a YAML config; raise ConfigError with the offending
-    path on any problem, a repeated key included."""
+def load_config(path, seed=None, realizations=None) -> dict:
+    """Read a YAML config, write the ``seed`` and ``realizations`` overrides
+    into it, so the metadata echoes the config that runs, and validate it
+    once; raise ConfigError with the offending path on any problem, a
+    repeated key included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_UniqueKeyLoader)
@@ -174,20 +177,12 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    if seed is not None and isinstance(raw.get("model"), dict):
+        raw["model"]["seed"] = seed
+    if realizations is not None:
+        raw["realizations"] = realizations
     _validate(raw)
     return raw
-
-
-def with_overrides(cfg: dict, seed=None, realizations=None) -> dict:
-    """``cfg`` with the command-line overrides written in and validated like
-    the file, so the config echoed into the metadata re-runs the experiment."""
-    over = {"model": dict(cfg["model"], seed=seed)} if seed is not None else {}
-    if realizations is not None:
-        over["realizations"] = realizations
-    if over:
-        cfg = {**cfg, **over}
-        _validate(cfg)
-    return cfg
 
 
 def _validate(cfg: dict):
@@ -214,9 +209,9 @@ def _floats(node, where="$"):
 def _check_experiment_sections(cfg: dict):
     """What the schema cannot say: the sections the experiment reads and
     needs, one end time per time grid, a finite relaxation rate (nonzero where
-    times are set in its units), positive finite end times, finite phases
-    delta_eps * t, times the solvers take, distinct TCL tags, density system
-    states and ecps pieces and mixture."""
+    times are set in its units), positive finite end times, finite products
+    delta_eps * t and rate * t, times the solvers take, distinct TCL tags,
+    density system states and ecps pieces and mixture."""
     kind = cfg["experiment"]
     for section in cfg:
         if section not in ("schema_version", "experiment", "model", *_SECTIONS[kind]):
@@ -247,6 +242,8 @@ def _check_experiment_sections(cfg: dict):
         raise ConfigError(f"{kind} end time out of range at relaxation rate {rate!r}")
     if params.delta_eps * t_end == np.inf:      # Python floats: no warning
         raise ConfigError(f"{kind} phases overflow: delta_eps * end time = inf")
+    if rate * t_end == np.inf:
+        raise ConfigError(f"{kind} rates overflow: relaxation rate * end time = inf")
     if kind == "compare":   # the solvers' own grid rule
         try:
             _grid_step(time_grid(cfg, params))

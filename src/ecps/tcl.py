@@ -11,7 +11,7 @@ orthonormal and the long-time limit is an orthogonal projection onto their
 kernel; :func:`steady_state` raises ValueError on any other K.
 :func:`solve_tcl` steps with expm(K dt) on grids from 0 whose steps agree to
 1e-12 of the span, as ``np.linspace`` steps do (they vary by about eps times
-the span).
+the span), and refuses states that come out non-finite.
 
 The solver deliberately refuses unprojected initial states instead of
 projecting them silently: a nonzero irrelevant part means the homogeneous
@@ -69,7 +69,8 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarra
     single time 0; any other grid raises ValueError. ``rho0`` must already be
     invariant under the projector for ``theta``, max|(I - P_theta) rho0| <=
     STRUCTURAL_TOL * max|rho0|; otherwise a HomogeneityError signals a
-    misconfigured homogeneous equation.
+    misconfigured homogeneous equation. States that are not finite raise
+    ValueError.
     """
     k = np.asarray(k, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -86,6 +87,8 @@ def solve_tcl(k: np.ndarray, rho0: np.ndarray, times, theta: float) -> np.ndarra
     vecs[0] = vec(rho0)
     for i in range(1, times.size):
         vecs[i] = step @ vecs[i - 1]
+    if not np.isfinite(vecs).all():
+        raise ValueError(f"TCL states are not finite at time step {dt:.6g}")
     return unvec(vecs)
 
 

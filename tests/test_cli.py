@@ -144,9 +144,18 @@ class TestValidate:
                                       *FIELD_ERRORS, "ecps_maximally_mixed_theta",
                                       "mixture_trace_1.004e-10_over",
                                       "t_max_1e-318", "t_max_3e-321",
-                                      "delta_eps_1e160", "delta_eps_4_t_max_1e308"])
+                                      "delta_eps_1e160", "delta_eps_4_t_max_1e308",
+                                      "alpha_1e152_t_max_1e157",
+                                      "alpha_1e150_t_max_1e157"])
     def test_configs_the_runner_rejects_exit_2(self, tmp_path, capsys, case):
-        if case.startswith("delta_eps_"):
+        if case.startswith("alpha_"):
+            # rate * t_max overflows; unrefused, the exact phases overflow at
+            # 1e152, and the TCL states come out NaN at 1e150
+            cfg_dict = yaml.safe_load(
+                (CONFIGS / "compare_mixed_coherence.yaml").read_text())
+            cfg_dict["model"].update(n_levels=3, alpha=float(case.split("_")[1]))
+            cfg_dict["time_grid"] = {"t_max": 1e157, "points": 400}
+        elif case.startswith("delta_eps_"):
             # phases delta_eps * t_max overflow: at 1e160 through t_max = 5 /
             # rate, which grows as delta_eps, and at 4 through t_max itself
             cfg_dict = compare_cfg(delta_eps=float(case.split("_")[2]))
@@ -512,6 +521,24 @@ class TestCompare:
                      "--seed", "999"]) == 0
         assert (out1 / "compare.csv").read_bytes() != (out2 / "compare.csv").read_bytes()
 
+    def test_one_validation_per_invocation(self, tmp_path, monkeypatch):
+        calls = mock.Mock(wraps=ecps.config._validate)
+        monkeypatch.setattr(ecps.config, "_validate", calls)
+        cfg = write_cfg(tmp_path, compare_cfg())
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "5"]) == 0
+        assert calls.call_count == 1
+
+    def test_override_replaces_an_invalid_field(self, tmp_path):
+        # the run is judged by the seed it runs with, not by the file's
+        cfg = write_cfg(tmp_path, compare_cfg(seed=-1))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["config"]["model"]["seed"] == 5
+        assert meta["resolved"]["base_seed"] == 5
+
     def test_override_run_repeats_from_its_metadata(self, tmp_path):
         cfg = write_cfg(tmp_path, compare_cfg())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -574,6 +601,24 @@ class TestCompare:
 
     def test_solver_refusal_is_the_exit_3_backstop(self, tmp_path, capsys,
                                                    monkeypatch):
+        # configs that pass the check and that a solver refuses: the exact
+        # phases max|w| * t_max overflow while delta_eps * t_max and rate *
+        # t_max do not, and expm(K dt) gives NaN states at t_max = 1e102
+        coherence = yaml.safe_load((CONFIGS / "compare_mixed_coherence.yaml").read_text())
+        coherence["model"].update(n_levels=60, delta_eps=1.0,
+                                  alpha=0.051639777949432225)
+        coherence["time_grid"] = {"t_max": 1.78e308, "points": 5}
+        population = yaml.safe_load((CONFIGS / "compare_population.yaml").read_text())
+        population["time_grid"] = {"t_max": 1e102, "points": 400}
+        for name, cfg_dict, why in (("phases", coherence, "phases overflow"),
+                                    ("tcl", population, "TCL states are not finite")):
+            cfg = write_cfg(tmp_path, cfg_dict, name=f"{name}.yaml")
+            assert main(["validate", "--config", cfg]) == 0
+            out = tmp_path / name
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
+            assert f"numerical precondition failed: {why}" in capsys.readouterr().err
+            assert not (out / "compare.csv").exists()
+
         # the runner builds its pieces on another route than the config
         # check, so a state may pass one and not the other in the last bits
         def refuse(*args):

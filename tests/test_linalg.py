@@ -151,7 +151,7 @@ class TestRelativeTolerance:
 
 
 class TestIsDensityPositivity:
-    """The Cholesky test of is_density decides like min eigvalsh >= -tol."""
+    """is_density decides like min eigvalsh >= -tol."""
 
     @staticmethod
     def _with_min_eigenvalue(lam_min, d, seed):

@@ -69,6 +69,13 @@ class TestSolveTcl:
             for i in range(len(times)):
                 assert np.abs(vec(sol[i]) - ivp.y[:, i]).max() <= 1e-8
 
+    def test_non_finite_states_raise(self):
+        # expm(K dt) gives NaN, with no warning, at a step of 1e40 / lambda
+        k = tcl_generator(0.0, 0.5, 1.0)
+        rho0 = project(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex), 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            solve_tcl(k, rho0, np.linspace(0, 4e40, 5), theta=0.0)
+
     @pytest.mark.parametrize("times", [[0.0, 0.1, 0.5, 2.0], [0.5, 1.0, 1.5],
                                        [0.0, -1.0, -2.0], [0.0, 0.0, 0.0], [],
                                        [[0.0, 1.0]], [0.0, np.inf],
