@@ -63,12 +63,14 @@ the phases ph_a(t) = exp(-i w_a t), the theta = 0 entries are
 with rho_e the B x B' block of V^dagger rho0 V, so neither the whole V, nor
 rho0, nor rho_e by a matrix product, nor rho(t) is ever formed. Hermiticity
 (M_cr = M_rc^dagger) leaves 10 entries, one per pair {r, c}: within one block
-r <= c, where rho_e also takes conj(K_cr) = K_rc^T, and across two blocks
-every r in B and c in B'. A pair on its own has identity rows, never formed:
+r <= c, and across two blocks every r in B and c in B'. Within one block,
+conj(K_cr) = K_rc^T and eff0 is Hermitian, so rho_e = X + X^dagger, X the terms
+r < c and half those r = c. A pair on its own has identity rows, never formed:
 its Gram blocks are conj(A_c), A_r^T or I. A K_rc costs N multiply-adds an
 entry and its readout T, so at T < N a block pair's K_rc are formed once and
 held, and at T >= N each is formed again after rho_e, so that one is alive at a
-time. Either way each K_rc becomes M_rc in place just before its readout.
+time. Either way each K_rc becomes M_rc in place just before its readout, done
+in chunks of 2**14 // |B'| times, so that no readout buffer grows with T.
 """
 from __future__ import annotations
 
@@ -96,6 +98,8 @@ def reduced_from_sector(eff: np.ndarray) -> np.ndarray:
     return np.einsum('...ljmj->...lm', e.reshape(e.shape[:-2] + (2, 2, 2, 2)))
 
 
+#: complex entries of the readout buffer (256 KiB): 2**14 // w_j times a chunk
+_CHUNK = 2 ** 14
 #: sqrt(2) U4: its columns are Phi+, Psi+, Psi-, Phi- over the pairs r = 2l + j
 _BELL = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
                   [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
@@ -208,28 +212,34 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
             ents = [(r, c, rows[i][x], rows[j][y]) for x, r in enumerate(pairs[i])
                     for y, c in enumerate(pairs[j]) if i < j or x <= y]
             ks = [_gram(a, b, n) for _, _, a, b in ents] if hold else None
-            # rho_e, within one block also from conj(K_cr) = K_rc^T (r != c)
+            # rho_e = X + X^dagger within one block, as coef is Hermitian, with X
+            # from r < c and half of r = c; across two blocks rho_e = X
             rho_e = np.zeros((w[i].size, w[j].size), dtype=complex)
-            buf = np.empty_like(rho_e)
+            buf = np.empty_like(rho_e) if hold else None    # a held K must survive
             for q, (r, c, a, b) in enumerate(ents):
                 k = ks[q] if hold else _gram(a, b, n)
-                rho_e += np.multiply(coef[r, c], np.conjugate(k, out=buf), out=buf)
-                if i == j and r != c:
-                    rho_e += np.multiply(coef[c, r], k.T, out=buf)
-                del k       # so that a re-formed K is the only one alive
+                x = np.conjugate(k, out=buf if hold else k)
+                rho_e += np.multiply(coef[r, c] / 2 if r == c else coef[r, c], x, out=x)
+                del k, x    # so that a re-formed K is the only one alive
             del buf
-            phm = np.empty((times.size, w[j].size), dtype=complex)
+            if i == j:
+                rho_e += rho_e.conj().T
+            step = max(1, _CHUNK // w[j].size)
+            chunks = [slice(t, t + step) for t in range(0, times.size, step)]
+            phm = np.empty((min(step, times.size), w[j].size), dtype=complex)
             for q, (r, c, a, b) in enumerate(ents):
                 m = ks[q] if hold else _gram(a, b, n)
                 m *= rho_e      # M_rc in place
-                np.matmul(ph[i], m, out=phm)
-                np.conjugate(phm, out=phm)
-                # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
-                entry = np.einsum('tb,tb->t', phm, ph[j])
-                eff[:, c, r] = entry.real if r == c else entry
+                for s in chunks:
+                    pm = phm[:times[s].size]
+                    np.matmul(ph[i][s], m, out=pm)
+                    np.conjugate(pm, out=pm)
+                    # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
+                    entry = np.einsum('tb,tb->t', pm, ph[j][s])
+                    eff[s, c, r] = entry.real if r == c else entry
                 eff[:, r, c] = eff[:, c, r].conj()
                 del m
-            del ents, ks, phm, rho_e    # this pair's arrays, freed before the next pair's
+            del ents, ks, phm, pm, rho_e    # this pair's arrays, freed before the next pair's
         ph[i] = rows[i] = None      # no later pair reads block i
     if bell_frame:
         eff = _BELL @ eff @ _BELL / 2

@@ -248,6 +248,15 @@ class TestEigenbasisReadout:
         p = params(n_levels=n_levels, xi=xi, alpha=0.3)
         self._check(p, env, np.array([0.0, 0.1, 0.35, 2.0, 7.5, 40.0]))
 
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_grid_longer_than_one_chunk(self, xi):
+        # the 2N and 3N blocks (24 and 36 wide) read out in chunks of 682
+        # and 455 times, so 1001 times take more than one, the last partial
+        times = np.linspace(0.0, 40.0, 1001)
+        assert all(times.size > ecps.exact._CHUNK // w and times.size % (ecps.exact._CHUNK // w)
+                   for w in (24, 36))
+        self._check(params(n_levels=12, xi=xi, alpha=0.3), self.ENVS[0], times)
+
     @pytest.mark.parametrize("env", ENVS)
     def test_degenerate_spectrum(self, env):
         self._check(params(n_levels=3, alpha=0.0), env, np.linspace(0, 30, 7))
@@ -451,11 +460,13 @@ class TestBlocks:
 class TestMemory:
     """The traced peak of evolve_exact, in units of h.nbytes. With T >= N
     times each Gram block K_rc is formed twice, for rho_e and for its readout,
-    so one is alive at a time; with T < N one block pair's K_rc are held. A
+    so one is alive at a time; with T < N one block pair's K_rc are held.
+    Times are read out in fixed-size chunks and rho_e = X + X^dagger needs no
+    scratch block, so only a block's phases and the output grow with T. A
     block's phases and rows go after its last block pair, the Bell frame
     W h W is built in one array, and a temporary h is freed before the
-    eigendecompositions. Cases: N = 120 at xi = 0 and 1 with two times (the
-    hold path), and N = 60, xi = 0.5 with 400 times (the re-form path)."""
+    eigendecompositions. Cases: N = 120 at xi = 0, 1 and 0.5 with two times
+    (the hold path), and N = 60, xi = 0.5 with 400 times (the re-form path)."""
 
     P = ModelParams(n_levels=120, delta_eps=0.5, alpha=0.005, xi=0.0, seed=3)
     EFF0 = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
@@ -484,8 +495,10 @@ class TestMemory:
     @pytest.mark.parametrize("n_levels, xi, points, held, bound, block", [
         (120, 0.0, 2, True, 1.8, 240), (120, 0.0, 2, False, 2.0, 240),
         (120, 1.0, 2, True, 1.8, 240), (120, 1.0, 2, False, 2.7, 240),
-        (60, 0.5, 400, True, 5.0, 180), (60, 0.5, 400, False, 5.0, 180)],
+        (120, 0.5, 2, True, 5.3, 360), (120, 0.5, 2, False, 5.3, 360),
+        (60, 0.5, 400, True, 3.9, 180), (60, 0.5, 400, False, 3.9, 180)],
         ids=["held", "temporary", "n120-xi1-held", "n120-xi1-temporary",
+             "n120-xi0.5-held", "n120-xi0.5-temporary",
              "n60-xi0.5-held", "n60-xi0.5-temporary"])
     def test_peak(self, monkeypatch, n_levels, xi, points, held, bound, block):
         p = replace(self.P, n_levels=n_levels, xi=xi)
@@ -493,6 +506,14 @@ class TestMemory:
         peak, calls, _ = self._peak(monkeypatch, p, held, times)
         assert calls == [block]
         assert peak <= bound
+
+    def test_readout_does_not_grow_with_times(self, monkeypatch):
+        # 400 more times may add the 3N block's phases and the (T, 4, 4)
+        # output, (3N + 16) * 16 B a time: 1.36 h.nbytes at N = 60
+        p = replace(self.P, n_levels=60, xi=0.5)
+        short, long = (self._peak(monkeypatch, p, True, np.linspace(0.0, self.TIMES[-1], t))[0]
+                       for t in (400, 800))
+        assert long - short <= 1.45
 
     @pytest.mark.parametrize("held, bound", [(True, 0.5), (False, 1.5)],
                              ids=["held", "temporary"])
