@@ -52,8 +52,8 @@ from . import __version__
 from .config import (_SECTIONS, ConfigError, SCHEMA_VERSION, end_time,
                      initial_pieces, load_config, model_params, n_realizations,
                      projector_thetas, theta_tag, time_grid)
-from .exact import (ensemble_average, evolve_exact, realization_seeds,
-                    reduced_from_sector, sector_variables)
+from .exact import (SYSTEM_OBSERVABLES, ensemble_average, evolve_exact,
+                    realization_seeds, reduced_from_sector, sector_variables)
 from .model import build_hamiltonian, initial_state, sample_couplings
 from .superop import apply_superop, projector_superop, scan_delta, tcl_generator
 from .tcl import ecps_evolve, solve_tcl, steady_state
@@ -95,18 +95,26 @@ def _write_metadata(out_dir: Path, cfg: dict, params, extra: dict):
 
 
 def _exact_run(cfg: dict, params, times):
-    """The exact effective states at ``times`` averaged over the realizations,
-    the effective initial state eff0, and each piece of the initial state as
-    (weight, effective state, theta-or-None). Every piece is level-uniform,
-    so eff0 fixes the composite initial state eff0 (x) I_N / N that
-    ``evolve_exact`` propagates; one build of each piece serves every
+    """The exact system state at ``times`` averaged over the realizations,
+    (T, 4) values of ``SYSTEM_OBSERVABLES`` (rho00, rho11, Re rho01,
+    Im rho01), the effective initial state eff0, and each piece of the
+    initial state as (weight, effective state, theta-or-None). Every piece is
+    level-uniform, so eff0 fixes the composite initial state eff0 (x) I_N / N
+    that ``evolve_exact`` propagates; one build of each piece serves every
     realization."""
     pieces = [(w, sector_variables(initial_state(sysm, env, params)), th)
               for w, sysm, env, th in initial_pieces(cfg)]
     eff0 = sum(w * eff for w, eff, _ in pieces)
     exact = ensemble_average(params, n_realizations(cfg), lambda p: evolve_exact(
-        build_hamiltonian(p, sample_couplings(p)), eff0, times))
+        build_hamiltonian(p, sample_couplings(p)), eff0, times, SYSTEM_OBSERVABLES))
     return exact, eff0, pieces
+
+
+def _system_values(states):
+    """(..., 4) values rho00, rho11, Re rho01, Im rho01 of effective states."""
+    s = reduced_from_sector(states)
+    return np.stack([s[..., 0, 0].real, s[..., 1, 1].real,
+                     s[..., 0, 1].real, s[..., 0, 1].imag], axis=-1)
 
 
 def _realizations(cfg: dict, params) -> dict:
@@ -125,16 +133,16 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
     tcl_thetas = {f"tcl_{theta_tag(th)}": th for th in thetas}
     curves = {"exact": exact}
     for name, th in tcl_thetas.items():
-        curves[name] = solve_tcl(tcl_generator(th, params.xi, lam),
-                                 apply_superop(projector_superop(th), eff0), times, th)
+        curves[name] = _system_values(solve_tcl(
+            tcl_generator(th, params.xi, lam),
+            apply_superop(projector_superop(th), eff0), times, th))
     if "ecps" in cfg:
-        curves["ecps"] = ecps_evolve(pieces, params.xi, lam, times)
+        curves["ecps"] = _system_values(ecps_evolve(pieces, params.xi, lam, times))
 
     header, columns = ["t"], [times]
-    for name, states in curves.items():
-        s = reduced_from_sector(states)
+    for name, v in curves.items():
         header += [f"{name}_rho00", f"{name}_rho01_re", f"{name}_rho01_im"]
-        columns += [s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag]
+        columns += [v[:, 0], v[:, 2], v[:, 3]]
     csv_path = out_dir / "compare.csv"
     _write_csv(csv_path, header, zip(*columns))
     _write_metadata(out_dir, cfg, params, {
@@ -180,17 +188,18 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     t_inf = end_time(cfg, params)
     lam = params.relaxation_rate
     pi4 = np.pi / 4
-    states, eff0, pieces = _exact_run(cfg, params, np.array([0.0, t_inf]))
+    exact, eff0, pieces = _exact_run(cfg, params, np.array([0.0, t_inf]))
     curves = {
-        "exact": states[-1],
-        "cps_pi4": steady_state(tcl_generator(pi4, params.xi, lam),
-                                apply_superop(projector_superop(pi4), eff0), pi4),
-        "ecps": sum(w * steady_state(tcl_generator(th, params.xi, lam), eff, th)
-                    for w, eff, th in pieces if w > 0),
+        "exact": exact[-1],
+        "cps_pi4": _system_values(steady_state(
+            tcl_generator(pi4, params.xi, lam),
+            apply_superop(projector_superop(pi4), eff0), pi4)),
+        "ecps": _system_values(sum(
+            w * steady_state(tcl_generator(th, params.xi, lam), eff, th)
+            for w, eff, th in pieces if w > 0)),
     }
-    s = reduced_from_sector(np.array(list(curves.values())))
-    quantities = {"rho00": s[:, 0, 0].real, "rho11": s[:, 1, 1].real,
-                  "rho01_re": s[:, 0, 1].real, "rho01_im": s[:, 0, 1].imag}
+    quantities = dict(zip(["rho00", "rho11", "rho01_re", "rho01_im"],
+                          np.transpose(list(curves.values()))))
     errors = [f"{n.removesuffix('_pi4')}_abs_err" for n in curves][1:]  # cps, ecps
     steady_path = out_dir / "steady.csv"
     _write_csv(steady_path, ["quantity", *curves, *errors],

@@ -9,9 +9,11 @@ state and the sector variables are identical in the Schroedinger and
 interaction pictures; trajectories can therefore be compared directly with the
 master-equation solutions, which are derived in the interaction picture.
 
-Return values are plain arrays: ``evolve_exact`` and ``ensemble_average``
-return the (T, 4, 4) effective states (theta = 0) at the T requested times,
-and ``reduced_from_sector`` maps them to the (T, 2, 2) system states.
+Return values are plain arrays: ``evolve_exact`` returns the (T, F) values
+Tr(O_f eff(t)) of F Hermitian effective-space observables at the T requested
+times (``SYSTEM_OBSERVABLES``: the system state), ``ensemble_average``
+averages such arrays, and ``reduced_from_sector`` maps (T, 4, 4) effective
+states to the (T, 2, 2) system states.
 
 Sector variables: for a branch basis rotated by theta, the effective state is
 the 4x4 matrix of level-summed ("collective") matrix elements
@@ -61,18 +63,36 @@ the phases ph_a(t) = exp(-i w_a t), the theta = 0 entries are
     rho_e = (1/N) sum_{r in B, c in B'} eff0[r, c] conj(K_rc),
 
 with rho_e the B x B' block of V^dagger rho0 V, so neither the whole V, nor
-rho0, nor rho_e by a matrix product, nor rho(t) is ever formed. Hermiticity
-(M_cr = M_rc^dagger) leaves 10 entries, one per pair {r, c}: within one block
-r <= c, and across two blocks every r in B and c in B'. Within one block,
-conj(K_cr) = K_rc^T and eff0 is Hermitian, so rho_e = X + X^dagger, X the terms
-r < c and half those r = c. A pair on its own has identity rows, never formed:
-its Gram blocks are conj(A_c), A_r^T or I. A K_rc costs N multiply-adds an
-entry and its readout T, so at T < N a block pair's K_rc are formed once and
-held, and at T >= N each is formed again after rho_e, so that one is alive at a
-time. Either way each K_rc becomes M_rc in place just before its readout, done
-in chunks of 2**14 // |B'| times, so that no readout buffer grows with T.
+rho0, nor rho_e by a matrix product, nor rho(t) is ever formed.
+
+Observables: Tr(O eff) = sum_rc O[c, r] eff[r, c] is linear in the entries,
+so the part of a block pair is one readout sum_ab ph_a (G * rho_e)[a, b]
+conj(ph_b) of one Gram block G = sum_rc y[r, c] K_rc. A block pair's
+readouts are its jobs (y, u): each takes one T x |B| x |B'| product and adds
+Re(u_f e(t)) to observable f, e(t) the readout's complex conjugate. Within
+one block the part of each observable is real, as O and eff are Hermitian,
+so the observables are packed two to a job, X = O_a - i O_b and y = X^T:
+e = v_a + i v_b, u = (1, -i). Across two blocks the part is
+2 Re sum O[c, r] eff[r, c], so there is one job per entry (r, c) that some
+observable weighs: y = 1 at (r, c), e = conj(eff[r, c]), u_f = 2 O_f[r, c].
+A block pair is skipped when no observable weighs it or when eff0 is zero on
+it (rho_e = 0). Two pairs each on its own have identity rows and rho_e a
+multiple of I, so their readout is sum_a ph_a conj(ph'_a), O(T N).
+
+Gram blocks: a K_rc costs N multiply-adds an entry and a readout T. At
+T >= N, rho_e and each job's G are one fused product each,
+A_B^T (y (x) I_N) conj(A_B'), where (y (x) I_N) conj(A_B') is formed a panel
+of columns at a time in one buffer of 2**14 entries, so no K_rc is formed at
+all. At T < N, a block pair's K_rc are formed once and held (within one
+block r <= c, as K_cr = K_rc^dagger), and rho_e and each G are sums of them.
+A pair on its own has identity rows, never formed: its Gram blocks are
+conj(A_c), A_r^T or I. Each G becomes G * rho_e in place just before its
+readout, done in chunks of 2**14 // |B'| times in the same buffer, so that no
+readout buffer grows with T.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -98,7 +118,13 @@ def reduced_from_sector(eff: np.ndarray) -> np.ndarray:
     return np.einsum('...ljmj->...lm', e.reshape(e.shape[:-2] + (2, 2, 2, 2)))
 
 
-#: complex entries of the readout buffer (256 KiB): 2**14 // w_j times a chunk
+#: the system state as effective-space observables, in steady.csv's order:
+#: rho00, rho11, Re rho01 and Im rho01, from rho_A[l, m] = Tr(|m><l| (x) I_2 eff)
+SYSTEM_OBSERVABLES = np.kron([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                              [[0.0, 0.5], [0.5, 0.0]], [[0.0, 0.5j], [-0.5j, 0.0]]],
+                             np.eye(2))
+SYSTEM_OBSERVABLES.flags.writeable = False
+#: complex entries of the buffer for panels and readout chunks (256 KiB)
 _CHUNK = 2 ** 14
 #: sqrt(2) U4: its columns are Phi+, Psi+, Psi-, Phi- over the pairs r = 2l + j
 _BELL = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
@@ -162,88 +188,175 @@ def _blocks(h: np.ndarray):
     return blocks, bell_frame
 
 
-def _gram(a_r, a_c, n: int) -> np.ndarray:
-    """A new K_rc = A_r^T conj(A_c); None stands for a lone pair's identity rows."""
-    if a_r is None:
-        return np.eye(n, dtype=complex) if a_c is None else a_c.conj()
-    return a_r.T.copy() if a_c is None else a_r.T @ a_c.conj()
-
-
-def evolve_exact(h: np.ndarray, eff0: np.ndarray, times) -> np.ndarray:
+def evolve_exact(h: np.ndarray, eff0: np.ndarray, times, observables) -> np.ndarray:
     """Evolve the level-uniform state rho0 = eff0 (x) I_N / N under ``h``,
-    rho(t) = exp(-iHt) rho0 exp(+iHt), on the given time grid, and return
-    its (T, 4, 4) effective states (theta = 0).
+    rho(t) = exp(-iHt) rho0 exp(+iHt), on the given time grid, and return the
+    (T, F) expectation values Re Tr(O_f eff(t)) of the effective states
+    (theta = 0) for the (F, 4, 4) stack of Hermitian ``observables``
+    (``SYSTEM_OBSERVABLES`` gives the system state).
 
     ``eff0`` is the 4 x 4 effective initial state and must be a density
-    matrix and ``h`` a Hermitian 4N x 4N matrix, each judged against its own
-    scale; ``times`` must be finite and increase from exactly 0, with finite
-    phases w t_max for the eigenvalues w of ``h``. ``h`` is split into blocks,
-    and the sector variables are read out of their eigenbases for all times
-    at once, exactly at any spectrum (see the module docstring).
-    Hermiticity of ``h`` is checked per block (``eig_hermitian``) and on the
-    slice of each unlinked pair (``is_hermitian``); the links are symmetrized,
-    so a one-sided entry joins its two pairs and fails the block's check.
+    matrix, ``h`` a Hermitian 4N x 4N matrix and each observable Hermitian,
+    each judged against its own scale; ``times`` must be finite and increase
+    from exactly 0, with finite phases w t_max for the eigenvalues w of ``h``.
+    ``h`` is split into blocks, and the values are read out of their
+    eigenbases for all times at once, exactly at any spectrum (see the
+    module docstring). Hermiticity of ``h`` is checked per block
+    (``eig_hermitian``) and on the slice of each unlinked pair
+    (``is_hermitian``); the links are symmetrized, so a one-sided entry joins
+    its two pairs and fails the block's check.
     """
     h = np.asarray(h, dtype=complex)
     eff0 = np.asarray(eff0, dtype=complex)
     times = np.asarray(times, dtype=float)
+    obs = np.asarray(observables, dtype=complex)
     if eff0.shape != (4, 4) or not is_density(eff0):
         raise ValueError("initial state must be a 4 x 4 density matrix")
     if times.ndim != 1 or times.size == 0 or times[0] != 0 \
             or not np.all(np.diff(times) > 0) or not np.isfinite(times).all():
         raise ValueError("times must be finite and increase from 0")
+    if obs.ndim != 3 or obs.shape[1:] != (4, 4) or not all(map(is_hermitian, obs)):
+        raise ValueError("observables must be a (F, 4, 4) stack of Hermitian matrices")
 
     blocks, bell_frame = _blocks(h)
     n = h.shape[0] // 4
     del h       # the blocks are copies: a caller's temporary h goes before eigh
-    pairs, w, rows = zip(*((p, m, [None]) if m.ndim == 1 else (p, *eig_hermitian(m))
+    pairs, w, rows = zip(*((p, m, None) if m.ndim == 1 else (p, *eig_hermitian(m))
                            for p, m in blocks))
     del blocks
     if max(float(np.abs(e).max()) for e in w) * float(times[-1]) == np.inf:
         raise ValueError("phases overflow: max|w| * t_max is not finite")
-    rows = [r if r[0] is None else r.reshape(len(p), n, -1) for p, r in zip(pairs, rows)]
+    rows = [r if r is None else r.reshape(len(p), n, -1) for p, r in zip(pairs, rows)]
     coef = (_BELL @ eff0 @ _BELL / 2 if bell_frame else eff0) / n
+    obs = (obs + obs.conj().transpose(0, 2, 1)) / 2     # exactly Hermitian
+    if bell_frame:
+        obs = _BELL @ obs @ _BELL / 2
     ph = [np.exp(p, out=p) for p in (np.multiply.outer(times, -1j * e) for e in w)]
-    hold = times.size < n   # forming a K again costs N per entry, its readout T
-    eff = np.empty((times.size, 4, 4), dtype=complex)
+    # a K_rc costs N an entry and a readout T: below N times the products
+    # dominate, so each K_rc is formed once and held
+    fuse = times.size >= n
+    vals = np.zeros((times.size, len(obs)))
+    buf = np.empty(_CHUNK, dtype=complex)       # the panels and readout chunks
     for i in range(len(w)):
         for j in range(i, len(w)):
-            # the entries of this block pair, within one block r <= c
-            ents = [(r, c, rows[i][x], rows[j][y]) for x, r in enumerate(pairs[i])
-                    for y, c in enumerate(pairs[j]) if i < j or x <= y]
-            ks = [_gram(a, b, n) for _, _, a, b in ents] if hold else None
-            # rho_e = X + X^dagger within one block, as coef is Hermitian, with X
-            # from r < c and half of r = c; across two blocks rho_e = X
-            rho_e = np.zeros((w[i].size, w[j].size), dtype=complex)
-            buf = np.empty_like(rho_e) if hold else None    # a held K must survive
-            for q, (r, c, a, b) in enumerate(ents):
-                k = ks[q] if hold else _gram(a, b, n)
-                x = np.conjugate(k, out=buf if hold else k)
-                rho_e += np.multiply(coef[r, c] / 2 if r == c else coef[r, c], x, out=x)
-                del k, x    # so that a re-formed K is the only one alive
-            del buf
-            if i == j:
-                rho_e += rho_e.conj().T
-            step = max(1, _CHUNK // w[j].size)
-            chunks = [slice(t, t + step) for t in range(0, times.size, step)]
-            phm = np.empty((min(step, times.size), w[j].size), dtype=complex)
-            for q, (r, c, a, b) in enumerate(ents):
-                m = ks[q] if hold else _gram(a, b, n)
-                m *= rho_e      # M_rc in place
-                for s in chunks:
-                    pm = phm[:times[s].size]
-                    np.matmul(ph[i][s], m, out=pm)
-                    np.conjugate(pm, out=pm)
-                    # conj(eff[r, c]) = sum_b conj(Ph M)[t, b] Ph[t, b]
-                    entry = np.einsum('tb,tb->t', pm, ph[j][s])
-                    eff[s, c, r] = entry.real if r == c else entry
-                eff[:, r, c] = eff[:, c, r].conj()
+            c_ij = coef[np.ix_(pairs[i], pairs[j])]
+            jobs = _jobs(obs[:, pairs[i]][:, :, pairs[j]], i == j)
+            if not jobs or not c_ij.any():
+                continue
+            a, b = rows[i], rows[j]
+            if a is None and b is None:     # lone pairs: rho_e = c I, each K is I
+                for y, u in jobs:
+                    _readout(ph[i], None, ph[j], np.conj(c_ij[0, 0] * y[0, 0]) * u, vals, buf)
+                continue
+            if fuse:
+                gram = partial(_fused, a_i=a, a_j=b, buf=buf)
+            else:   # each K_rc once, within one block r <= c
+                need = (c_ij != 0) | np.any([y != 0 for y, _ in jobs], axis=0)
+                need |= need.T if i == j else False
+                ks = {(r, c): _gram(None if a is None else a[r], None if b is None else b[c])
+                      for r, c in np.argwhere(need) if i < j or r <= c}
+                gram = partial(_held_sum, ks=ks, same=i == j, buf=buf)
+                del ks
+            # rho_e = V_i^dagger rho0 V_j = conj(sum_rc conj(coef[r, c]) K_rc)
+            rho_e = gram(c_ij.conj())
+            np.conjugate(rho_e, out=rho_e)
+            for y, u in jobs:
+                m = gram(y)
+                m *= rho_e
+                _readout(ph[i], m, ph[j], u, vals, buf)
                 del m
-            del ents, ks, phm, pm, rho_e    # this pair's arrays, freed before the next pair's
+            del gram, rho_e     # this pair's arrays, freed before the next pair's
         ph[i] = rows[i] = None      # no later pair reads block i
-    if bell_frame:
-        eff = _BELL @ eff @ _BELL / 2
-    return eff
+    return vals
+
+
+def _gram(a_r, a_c) -> np.ndarray:
+    """A new K_rc = A_r^T conj(A_c); None stands for a lone pair's identity rows."""
+    if a_r is None:
+        return a_c.conj()
+    return a_r.T.copy() if a_c is None else a_r.T @ a_c.conj()
+
+
+def _fused(y, a_i, a_j, buf) -> np.ndarray:
+    """A new sum_rc y[r, c] K_rc = A_i^T (y (x) I_N) conj(A_j) for the stacked
+    rows A_i (k, N, w_i) and A_j of a block pair, None for a lone pair's
+    identity rows (not both). One product: (y (x) I_N) conj(A_j) is formed
+    a panel of columns at a time in ``buf``."""
+    if a_j is None:
+        return np.tensordot(y[:, 0], a_i, axes=1).T
+    if a_i is None:
+        out = np.tensordot(y[0].conj(), a_j, axes=1)
+        return np.conjugate(out, out=out)
+    k, n, w_i = a_i.shape
+    w_j = a_j.shape[2]
+    out = np.empty((w_j, w_i), dtype=complex).T     # each panel's columns contiguous
+    step = max(1, buf.size // (k * n))
+    for c in range(0, w_j, step):
+        cols = slice(c, min(c + step, w_j))
+        panel = buf[:k * n * (cols.stop - c)].reshape(k, n, -1)
+        np.einsum('rc,cnb->rnb', y.conj(), a_j[:, :, cols], out=panel)
+        np.matmul(a_i.reshape(k * n, w_i).T, np.conjugate(panel, out=panel).reshape(k * n, -1),
+                  out=out[:, cols])
+    return out
+
+
+def _held_sum(y, ks, same, buf) -> np.ndarray:
+    """A new sum_rc y[r, c] K_rc from the held K_rc, keyed by (r, c) and only
+    r <= c within one block (same), where K_cr = K_rc^dagger; the terms are
+    added a panel of rows at a time through ``buf``."""
+    # y[c, r] K_cr = conj(conj(y[c, r]) K_rc^T)
+    terms = [(y[r, c], k, False) for (r, c), k in ks.items()] + \
+        [(np.conj(y[c, r]), k.T, True) for (r, c), k in ks.items() if same and r != c]
+    out = np.zeros(next(iter(ks.values())).shape, dtype=complex)
+    step = max(1, buf.size // out.shape[1])
+    for t in range(0, out.shape[0], step):
+        o = out[t:t + step]
+        tmp = buf[:o.size].reshape(o.shape)
+        for scale, k, conj in terms:
+            if scale:
+                np.multiply(k[t:t + step], scale, out=tmp)
+                o += np.conjugate(tmp, out=tmp) if conj else tmp
+    return out
+
+
+def _readout(ph_i, m, ph_j, u, vals, buf):
+    """vals += Re(u_f e(t)) for every observable f, with e(t) = sum_ab
+    conj(ph_i[t, a] m[a, b]) ph_j[t, b] (m None: the identity), a chunk of
+    2**14 // w_j times at a time through ``buf``."""
+    step = max(1, buf.size // ph_j.shape[1])
+    for t in range(0, len(vals), step):
+        s = slice(t, t + step)
+        pm = buf[:ph_j[s].size].reshape(ph_j[s].shape)
+        if m is None:
+            np.conjugate(ph_i[s], out=pm)
+        else:
+            np.conjugate(np.matmul(ph_i[s], m, out=pm), out=pm)
+        vals[s] += np.multiply.outer(np.einsum('tb,tb->t', pm, ph_j[s]), u).real
+
+
+def _jobs(o, same: bool):
+    """The readouts of one block pair, each as (y, u): its Gram block is
+    sum_rc y[r, c] K_rc, and its readout e(t) adds Re(u_f e(t)) to observable
+    f. ``o`` holds the observables' (B, B') entries, (F, |B|, |B'|).
+
+    Within one block each observable's readout is real, so the observables
+    that weigh the block go two to a readout, X = O_a - i O_b, y = X^T:
+    e = v_a + i v_b. Across two blocks there is one readout per entry (r, c)
+    that some observable weighs, y = 1 there: e = conj(eff[r, c]) and
+    v_f gains 2 Re(O_f[r, c] e), the entry and its conjugate (c, r)."""
+    jobs = []
+    if same:
+        weighed = [f for f in range(len(o)) if o[f].any()]
+        for pack in (weighed[q:q + 2] for q in range(0, len(weighed), 2)):
+            u = np.zeros(len(o), dtype=complex)
+            u[pack] = [1, -1j][:len(pack)]
+            jobs.append((np.einsum('f,fcr->rc', u[pack], o[pack]), u))   # X^T
+    else:
+        for r, c in np.argwhere(o.any(axis=0)):
+            y = np.zeros(o.shape[1:])
+            y[r, c] = 1.0
+            jobs.append((y, 2 * o[:, r, c]))
+    return jobs
 
 
 def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
@@ -253,9 +366,10 @@ def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
 
 
 def ensemble_average(params: ModelParams, n_realizations: int, run_one) -> np.ndarray:
-    """Pointwise mean of the effective states over coupling realizations.
+    """Pointwise mean of one realization's arrays over coupling realizations.
 
-    ``run_one(params_k)`` must return (T, 4, 4) effective states of one T;
+    ``run_one(params_k)`` must return arrays of one shape, such as the (T, F)
+    values of ``evolve_exact`` or (T, 4, 4) effective states;
     realization k runs with the k-th derived seed (realization 0 reuses the
     base seed, so n_realizations=1 reproduces a single run exactly).
     """

@@ -21,7 +21,7 @@ import pytest
 
 from ecps import (STRUCTURAL_TOL, ModelParams, apply_superop, build_hamiltonian,
                   choi_matrix, delta_superop, ecps_evolve, effective_generator_full,
-                  ensemble_average, evolve_exact, initial_state,
+                  ensemble_average, initial_state,
                   projector_superop, sample_couplings, scan_delta,
                   sector_variables, singular_values, solve_tcl, steady_state,
                   tcl_generator, reduced_from_sector)
@@ -29,6 +29,7 @@ from ecps.config import environment_state
 from oracles import (choi_oracle, conserved_charge, rate_table_generator,
                      rk4_von_neumann, sector_projector, tcl2_wick_generator,
                      wick_scalar)
+from test_exact import exact_states
 
 PI4 = np.pi / 4
 
@@ -109,7 +110,7 @@ def _compare_run(params, sys0, env, thetas):
     times = np.linspace(0.0, 5.0 / lam, 400)
     h = build_hamiltonian(params, sample_couplings(params))
     eff0 = sector_variables(initial_state(sys0, environment_state(env), params))
-    exact = evolve_exact(h, eff0, times)
+    exact = exact_states(h, eff0, times)
     sols = {}
     for th in thetas:
         k = tcl_generator(th, params.xi, lam)
@@ -173,7 +174,7 @@ def test_criterion_4_steady_state_experiment():
     def run_component1(p):
         h = build_hamiltonian(p, sample_couplings(p))
         eff0 = sector_variables(initial_state(rho_pop, mixed, p))
-        return evolve_exact(h, eff0, np.array([0.0, t_inf]))
+        return exact_states(h, eff0, np.array([0.0, t_inf]))
 
     exact_c1 = ensemble_average(params, 4, run_component1)
     pops_c1 = np.diag(reduced_from_sector(exact_c1[-1])).real
@@ -184,7 +185,7 @@ def test_criterion_4_steady_state_experiment():
         h = build_hamiltonian(p, sample_couplings(p))
         rho0 = (p1_weight * initial_state(rho_pop, mixed, p)
                 + (1 - p1_weight) * initial_state(rho_coh, plus, p))
-        return evolve_exact(h, sector_variables(rho0), np.array([0.0, t_inf]))
+        return exact_states(h, sector_variables(rho0), np.array([0.0, t_inf]))
 
     exact_mix = ensemble_average(params, 4, run_mixture)
     pops_exact = np.diag(reduced_from_sector(exact_mix[-1])).real
@@ -276,7 +277,7 @@ def test_criterion_5_property_suites():
     h2 = build_hamiltonian(p2, sample_couplings(p2))
     branch_1 = environment_state({"kind": "branch_projector", "theta": 0.0})
     rho2 = initial_state(np.diag([1.0, 0.0]).astype(complex), branch_1, p2)
-    states = evolve_exact(h2, sector_variables(rho2), np.array([0.0, 2.0]))
+    states = exact_states(h2, sector_variables(rho2), np.array([0.0, 2.0]))
     rho_rk4 = rk4_von_neumann(h2, rho2, 2.0, 1e-3)
     checks["rk4 equivalence"] = np.abs(
         states[-1] - sector_variables(rho_rk4)).max() <= 1e-6
@@ -323,7 +324,7 @@ def test_criterion_6_effective_space_faithfulness():
         p = params.with_seed(100000 + s)
         h = build_hamiltonian(p, sample_couplings(p))
         # x is propagated as the level-uniform state x (x) I_N / N
-        states = evolve_exact(h, x, np.array([0.0, t1, t2]))
+        states = exact_states(h, x, np.array([0.0, t1, t2]))
         estimates[s] = (states[2] - states[1]) / (t2 - t1)
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(draws)
@@ -360,7 +361,7 @@ def _half_half_run(xi, n_realizations, points):
     eff0 = sum(w * eff for w, eff, _ in effs)
 
     def run_one(p):
-        return evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0, times)
+        return exact_states(build_hamiltonian(p, sample_couplings(p)), eff0, times)
 
     exact = reduced_from_sector(ensemble_average(params, n_realizations, run_one))
     curves = {th: reduced_from_sector(solve_tcl(

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import ecps.exact
+from ecps.exact import SYSTEM_OBSERVABLES
 from ecps import (ModelParams, build_hamiltonian, eig_hermitian,
                   ensemble_average, evolve_exact, initial_state,
                   realization_seeds, reduced_from_sector, sample_couplings,
@@ -16,6 +18,41 @@ from oracles import (PHI_PLUS, SECTOR_THETAS, conserved_charge,
 from test_model import env_state
 
 PI4 = np.pi / 4
+
+
+def _hermitian_basis():
+    """16 Hermitian 4 x 4 observables whose values are eff[r, r] and, for
+    r < c, Re eff[r, c] and Im eff[r, c]."""
+    basis = []
+    for r, c in zip(*np.triu_indices(4)):
+        re = np.zeros((4, 4), dtype=complex)
+        re[r, c] = re[c, r] = 1.0 if r == c else 0.5
+        basis.append(re)
+        if r < c:
+            im = np.zeros((4, 4), dtype=complex)
+            im[r, c], im[c, r] = 0.5j, -0.5j
+            basis.append(im)
+    return np.array(basis)
+
+
+HERMITIAN_BASIS = _hermitian_basis()
+
+
+def exact_states(h, eff0, times):
+    """The (T, 4, 4) effective states, rebuilt from evolve_exact's values of
+    ``HERMITIAN_BASIS``."""
+    vals = evolve_exact(h, eff0, times, HERMITIAN_BASIS)
+    states = np.empty((len(vals), 4, 4), dtype=complex)
+    k = 0
+    for r, c in zip(*np.triu_indices(4)):
+        if r == c:
+            states[:, r, r] = vals[:, k]
+            k += 1
+        else:
+            states[:, r, c] = vals[:, k] + 1j * vals[:, k + 1]
+            states[:, c, r] = vals[:, k] - 1j * vals[:, k + 1]
+            k += 2
+    return states
 
 
 def params(**kw):
@@ -76,14 +113,14 @@ class TestEvolveExact:
     def test_initial_time_reduction(self):
         p = params()
         h, rho0 = setup(p)
-        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 5, 7))
+        states = exact_states(h, sector_variables(rho0), np.linspace(0, 5, 7))
         direct = partial_trace(rho0, [2, 2 * p.n_levels], keep=0)
         assert np.abs(reduced_from_sector(states)[0] - direct).max() <= 1e-12
 
     def test_decoupled_limit_is_constant(self):
         p = params(alpha=0.0)
         h, rho0 = setup(p, sys=np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))
-        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 50, 9))
+        states = exact_states(h, sector_variables(rho0), np.linspace(0, 50, 9))
         system = reduced_from_sector(states)
         spread = np.abs(system - system[0]).max()
         assert spread <= 1e-12
@@ -92,7 +129,7 @@ class TestEvolveExact:
         p = params(n_levels=2, alpha=0.2, seed=5)
         h, rho0 = setup(p)
         t_final = 2.0
-        states = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
+        states = exact_states(h, sector_variables(rho0), np.array([0.0, t_final]))
         rho_rk4 = rk4_von_neumann(h, rho0, t_final, dt=1e-3)
         eff = sector_variables(rho_rk4)
         assert np.abs(states[-1] - eff).max() <= 1e-6
@@ -106,7 +143,7 @@ class TestEvolveExact:
         w, v = eig_hermitian(h)
         rho_e = v.conj().T @ rho0 @ v
         times = np.linspace(0, 40, 9)
-        states = evolve_exact(h, sector_variables(rho0), times)
+        states = exact_states(h, sector_variables(rho0), times)
         energy0 = np.trace(h @ rho0).real
         purity0 = np.trace(rho0 @ rho0).real
         charge0 = np.trace(charge @ rho0).real
@@ -131,8 +168,9 @@ class TestEvolveExact:
         p = params(n_levels=n_levels, xi=xi, alpha=0.3)
         h, rho0 = setup(p, sys=np.array([[0.6, 0.2 + 0.3j], [0.2 - 0.3j, 0.4]]),
                         env="plus_projector")
-        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 40, 9))
-        pop = np.einsum('i,tij,j->t', PHI_PLUS, states, PHI_PLUS)
+        pop = evolve_exact(h, sector_variables(rho0), np.linspace(0, 40, 9),
+                           [np.outer(PHI_PLUS, PHI_PLUS)])
+        assert pop.shape == (9, 1)
         expected = np.trace(phi_plus_projector(n_levels) @ rho0)
         assert abs(expected - 0.35) <= 1e-12
         assert np.abs(pop - expected).max() <= 1e-12
@@ -140,7 +178,7 @@ class TestEvolveExact:
     def test_reduced_states_stay_physical(self):
         p = params(alpha=0.08)
         h, rho0 = setup(p)
-        states = evolve_exact(h, sector_variables(rho0), np.linspace(0, 60, 25))
+        states = exact_states(h, sector_variables(rho0), np.linspace(0, 60, 25))
         for rho_a in reduced_from_sector(states):
             assert abs(np.trace(rho_a) - 1.0) <= 1e-9
             assert np.abs(rho_a - rho_a.conj().T).max() <= 1e-9
@@ -151,25 +189,25 @@ class TestEvolveExact:
         h, rho0 = setup(p, sys=np.array([[0.6, 0.2], [0.2, 0.4]]))
         eff0 = sector_variables(rho0)
         with pytest.raises(ValueError):
-            evolve_exact(h + 1j * np.eye(h.shape[0]), eff0, [0.0, 1.0])
+            exact_states(h + 1j * np.eye(h.shape[0]), eff0, [0.0, 1.0])
         non_hermitian = eff0.copy()
         non_hermitian[0, 2] += 1e-3
         # trace 2, not Hermitian, and the (valid) composite state itself
         for bad in (eff0 * 2, non_hermitian, rho0):
             with pytest.raises(ValueError):
-                evolve_exact(h, bad, [0.0, 1.0])
+                exact_states(h, bad, [0.0, 1.0])
         for times in ([1.0, 2.0], [1e-13, 1.0], [-1e-300, 1.0]):
             with pytest.raises(ValueError):
-                evolve_exact(h, eff0, times)
+                exact_states(h, eff0, times)
         with pytest.raises(ValueError):
-            evolve_exact(h, eff0, [0.0, 2.0, 1.0])
+            exact_states(h, eff0, [0.0, 2.0, 1.0])
         for times in ([0.0, np.nan], [np.nan], [np.nan, 1.0],
                       [0.0, np.inf], [0.0, 1.0, np.inf]):
             with pytest.raises(ValueError):
-                evolve_exact(h, eff0, times)
+                exact_states(h, eff0, times)
         for bad_h in (h[:-1, :-1], h[:, :-4], h[0], np.zeros((0, 0))):
             with pytest.raises(ValueError):
-                evolve_exact(bad_h, eff0, [0.0, 1.0])
+                exact_states(bad_h, eff0, [0.0, 1.0])
         for bad in (h[:-1, :-1], h[:, :-4], h[0]):
             with pytest.raises(ValueError, match="4N x 4N"):
                 sector_variables(bad)
@@ -177,10 +215,18 @@ class TestEvolveExact:
             h_bad = h.copy()
             h_bad[0, 1] = h_bad[1, 0] = bad
             with pytest.raises(ValueError):
-                evolve_exact(h_bad, eff0, [0.0, 1.0])
+                exact_states(h_bad, eff0, [0.0, 1.0])
         # max|w| t_max = inf: the phases would be NaN
         with pytest.raises(ValueError, match="phases overflow"):
-            evolve_exact(1e10 * h, eff0, [0.0, 1e300])
+            exact_states(1e10 * h, eff0, [0.0, 1e300])
+        non_hermitian = SYSTEM_OBSERVABLES.copy()
+        non_hermitian[3, 0, 2] += 1e-3
+        nan = SYSTEM_OBSERVABLES.copy()
+        nan[0, 1, 1] = np.nan
+        for bad in (SYSTEM_OBSERVABLES[0], SYSTEM_OBSERVABLES[None], non_hermitian, nan,
+                    np.zeros((2, 4, 3)), np.zeros((2, 3, 3)), np.eye(4)[None, None]):
+            with pytest.raises(ValueError, match="observables"):
+                evolve_exact(h, eff0, [0.0, 1.0], bad)
 
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("scale", [1e-100, 1e8, 1e100])
@@ -189,10 +235,10 @@ class TestEvolveExact:
         # against the scale of h, at unlinked pairs (xi = 0) and in blocks
         h, rho0 = setup(params(n_levels=6, xi=xi))
         eff0, times = sector_variables(rho0), np.linspace(0, 60, 25)
-        ref = evolve_exact(h, eff0, times)
-        assert np.abs(evolve_exact(scale * h, eff0, times / scale) - ref).max() <= 1e-12
+        ref = exact_states(h, eff0, times)
+        assert np.abs(exact_states(scale * h, eff0, times / scale) - ref).max() <= 1e-12
         with pytest.raises(ValueError):
-            evolve_exact(scale * (h + 1e-6j * np.eye(h.shape[0])), eff0, times)
+            exact_states(scale * (h + 1e-6j * np.eye(h.shape[0])), eff0, times)
 
     def test_checks_only_the_effective_state(self, monkeypatch):
         shapes = []
@@ -205,23 +251,146 @@ class TestEvolveExact:
         monkeypatch.setattr(ecps.exact, "is_density", recording)
         for xi in (0.0, 0.5, 1.0):
             h, rho0 = setup(params(n_levels=5, xi=xi))
-            evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
+            exact_states(h, sector_variables(rho0), [0.0, 1.0])
         assert shapes == [(4, 4)] * 3
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The engine's Gram blocks ("G", the K_rc of a held pair), fused
+        products ("F") and readouts ("R"), each with its arguments, in call
+        order."""
+        events = []
+        for name, tag in (("_gram", "G"), ("_fused", "F"), ("_readout", "R")):
+            original = getattr(ecps.exact, name)
+
+            def recording(*args, _tag=tag, _original=original, **kwargs):
+                events.append((_tag, args))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ecps.exact, name, recording)
+        return events
+
+    # (readouts, fused products at T >= N, held K_rc at T < N) of the system
+    # observables from an eff0 with no zero coefficient block, N = 12
+    PLAN = {(0.0, 0.0): (6, 0, 0),      # four lone pairs: O(T N) diagonals
+            (0.3, 0.0): (6, 0, 0), (1.0, 0.0): (6, 0, 0),
+            (0.0, 0.02): (5, 6, 7),     # {0}, {1, 2}, {3}
+            (0.3, 0.02): (6, 7, 9),     # Bell frame {Phi+}, {Psi+, Psi-, Phi-}
+            (1.0, 0.02): (9, 9, 7)}     # Bell frame {Phi+}, {Psi+}, {Psi-, Phi-}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.02])
     @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("points, grams", [(11, 10), (12, 20), (13, 20)])
-    def test_forms_each_gram_block_once_below_n_times(self, monkeypatch, points,
-                                                       grams, xi, alpha):
-        # one Gram block per pair {r, c}, r <= c: at T < N it is held from
-        # rho_e to its readout, from T = N on it is formed again for it
-        calls = []
-        original = ecps.exact._gram
-        monkeypatch.setattr(ecps.exact, "_gram",
-                            lambda *args: calls.append(1) or original(*args))
-        h, rho0 = setup(params(n_levels=12, xi=xi, alpha=alpha))
-        evolve_exact(h, sector_variables(rho0), np.linspace(0.0, 10.0, points))
-        assert len(calls) == grams
+    @pytest.mark.parametrize("points", [11, 12, 13])
+    def test_gram_blocks_and_readouts_per_block_pair(self, monkeypatch, points, xi, alpha):
+        # at T < N each K_rc is formed once and held (within one block r <= c);
+        # from T = N on a block pair takes one fused product for rho_e and
+        # one for each readout, and a pair of lone pairs takes none
+        events = self._record(monkeypatch)
+        p = params(n_levels=12, xi=xi, alpha=alpha)
+        h = build_hamiltonian(p, sample_couplings(p))
+        eff0 = np.full((4, 4), 0.02) + np.diag([0.2, 0.3, 0.1, 0.32])
+        evolve_exact(h, eff0, np.linspace(0.0, 10.0, points), SYSTEM_OBSERVABLES)
+        tags = "".join(tag for tag, _ in events)
+        readouts, fused, held = self.PLAN[xi, alpha]
+        assert tags.count("R") == readouts
+        if points < 12:
+            # per block pair: its K_rc, each from other rows, then a readout per job
+            assert tags.count("G") == held and re.fullmatch(r"(R|G+R+)*", tags)
+            for run in re.finditer("G+", tags):
+                keys = {tuple(None if a is None else (a.ctypes.data, a.shape) for a in args)
+                        for _, args in events[run.start():run.end()]}
+                assert len(keys) == run.end() - run.start()
+        else:
+            # per block pair: rho_e, then a Gram block and its readout per job
+            assert tags.count("F") == fused and re.fullmatch(r"(R|F(FR)+)*", tags)
+
+    @pytest.mark.parametrize("points", [5, 40])
+    @pytest.mark.parametrize("xi, eff0", [(0.0, np.diag([1.0, 0.0, 0.0, 0.0])),
+                                          (0.5, np.outer(PHI_PLUS, PHI_PLUS))],
+                             ids=["plain", "bell"])
+    def test_skips_block_pairs_eff0_does_not_reach(self, monkeypatch, xi, eff0, points):
+        # eff0 lies on one lone pair ({0}, or Phi+ in the Bell frame): every
+        # other block pair has a zero coefficient block, so only the lone
+        # pair's own diagonal is read out, and the state does not move
+        events = self._record(monkeypatch)
+        p = params(n_levels=12, xi=xi, alpha=0.3)
+        vals = evolve_exact(build_hamiltonian(p, sample_couplings(p)), eff0,
+                            np.linspace(0.0, 40.0, points), SYSTEM_OBSERVABLES)
+        assert [(tag, args[1]) for tag, args in events] == [("R", None)]
+        assert np.abs(vals - np.einsum('fcr,rc->f', SYSTEM_OBSERVABLES, eff0).real).max() \
+            <= 1e-15
+
+
+class TestObservables:
+    """``SYSTEM_OBSERVABLES`` and other stacks read out against the states
+    rebuilt from ``HERMITIAN_BASIS``, which ``TestEigenbasisReadout`` checks
+    against the dense oracle: wrong packing of two observables to a readout,
+    or a wrongly skipped block pair, shows as a wrong value."""
+
+    RNG = np.random.default_rng(2024)
+    _M = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
+    # a full-rank state; one on the plain pairs 0 and 3, zero on the coefficient
+    # blocks of {1, 2} at xi = 0; and 0.6 Phi+ + 0.4 Psi-, zero on the blocks of
+    # Psi+ and Phi- in the Bell frame
+    EFF0 = {"full": _M @ _M.conj().T / np.trace(_M @ _M.conj().T).real,
+            "plain-zero": np.array([[0.7, 0, 0, 0.2 - 0.3j], [0, 0, 0, 0], [0, 0, 0, 0],
+                                    [0.2 + 0.3j, 0, 0, 0.3]]),
+            "bell-zero": 0.6 * np.outer(PHI_PLUS, PHI_PLUS)
+            + 0.4 * np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2}
+
+    @staticmethod
+    def _system(s):
+        """rho00, rho11, Re rho01, Im rho01 of (T, 2, 2) system states."""
+        return np.stack([s[:, 0, 0].real, s[:, 1, 1].real, s[:, 0, 1].real,
+                         s[:, 0, 1].imag], axis=-1)
+
+    @pytest.mark.parametrize("eff0", ["full", "plain-zero", "bell-zero"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("points", [2, 11, 2000])
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 3, 12])
+    def test_system_observables_match_rebuilt_states(self, n_levels, xi, points,
+                                                     alpha, eff0):
+        # points on both sides of N (N = 1 is always T >= N), and at 2000 over
+        # several readout chunks of 2**14 // w times for every w = 2N, 3N at
+        # N = 12; alpha = 0 leaves only pairs on their own
+        p = params(n_levels=n_levels, xi=xi, alpha=alpha, delta_eps=2.0)
+        h = build_hamiltonian(p, sample_couplings(p))
+        times = np.linspace(0.0, 30.0, points)
+        vals = evolve_exact(h, self.EFF0[eff0], times, SYSTEM_OBSERVABLES)
+        expected = self._system(reduced_from_sector(exact_states(h, self.EFF0[eff0], times)))
+        assert vals.shape == (points, 4)
+        assert np.abs(vals - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("eff0", ["full", "plain-zero", "bell-zero"])
+    @pytest.mark.parametrize("points", [2, 40])
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_levels", [1, 3, 12])
+    def test_system_observables_match_dense_reference(self, monkeypatch, n_levels, xi,
+                                                      points, eff0):
+        # the same values from the per-time dense rho(t); with a 2**7-entry
+        # buffer each fused product, held sum and readout takes several panels
+        monkeypatch.setattr(ecps.exact, "_CHUNK", 2 ** 7)
+        p = params(n_levels=n_levels, xi=xi, alpha=0.3, delta_eps=2.0)
+        h = build_hamiltonian(p, sample_couplings(p))
+        times = np.linspace(0.0, 30.0, points)
+        vals = evolve_exact(h, self.EFF0[eff0], times, SYSTEM_OBSERVABLES)
+        s, _ = evolve_exact_dense(h, embed_level_uniform(self.EFF0[eff0], n_levels), times, ())
+        assert np.abs(vals - self._system(s)).max() <= 1e-12
+
+    @pytest.mark.parametrize("points", [5, 40])
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_odd_number_of_observables(self, xi, points):
+        # with F odd the last observable weighing a block has its own readout
+        p = params(n_levels=12, xi=xi, alpha=0.3)
+        h = build_hamiltonian(p, sample_couplings(p))
+        eff0, times = self.EFF0["full"], np.linspace(0.0, 30.0, points)
+        states = exact_states(h, eff0, times)
+        five = np.concatenate([SYSTEM_OBSERVABLES, [np.outer(PHI_PLUS, PHI_PLUS)]])
+        for obs in (five[:1], five[1:2], five[:3], five[2:], five):
+            vals = evolve_exact(h, eff0, times, obs)
+            assert vals.shape == (points, len(obs))
+            assert np.abs(vals - np.einsum('fcr,trc->tf', obs, states).real).max() <= 1e-13
 
 
 class TestEigenbasisReadout:
@@ -233,7 +402,7 @@ class TestEigenbasisReadout:
 
     def _check(self, p, env, times):
         h, rho0 = setup(p, sys=self.SYS, env=env)
-        states = evolve_exact(h, sector_variables(rho0), times)
+        states = exact_states(h, sector_variables(rho0), times)
         system, sectors = evolve_exact_dense(h, rho0, times, self.THETAS)
         assert reduced_from_sector(states).shape == (len(times), 2, 2)
         assert states.shape == (len(times), 4, 4)
@@ -279,7 +448,7 @@ class TestEigenbasisReadout:
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         for x in (m @ m.conj().T, np.outer(psi, psi.conj())):
             eff0 = x / np.trace(x).real
-            states = evolve_exact(h, eff0, times)
+            states = exact_states(h, eff0, times)
             system, sectors = evolve_exact_dense(
                 h, embed_level_uniform(eff0, n_levels), times, self.THETAS)
             assert np.abs(states[0] - eff0).max() <= 1e-12
@@ -341,7 +510,7 @@ class TestBlocks:
             return original(m, *args)
 
         monkeypatch.setattr(ecps.exact, "eig_hermitian", recording)
-        states = evolve_exact(h, sector_variables(rho0), np.asarray(times))
+        states = exact_states(h, sector_variables(rho0), np.asarray(times))
         return sizes, states
 
     def _steady_rho0(self, p):
@@ -428,7 +597,7 @@ class TestBlocks:
             h[0, 0] += 1e-3j
         match = "evolve_exact requires" if on_phi_plus else None
         with pytest.raises(ValueError, match=match):
-            evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
+            exact_states(h, sector_variables(rho0), [0.0, 1.0])
 
     @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 4)])
     def test_rejects_one_sided_off_block_entry(self, i, j):
@@ -439,7 +608,7 @@ class TestBlocks:
         assert h[i, j] == 0 and h[j, i] == 0
         h[i, j] = 1e-3
         with pytest.raises(ValueError):
-            evolve_exact(h, sector_variables(rho0), [0.0, 1.0])
+            exact_states(h, sector_variables(rho0), [0.0, 1.0])
 
     def test_rejects_slightly_negative_initial_state(self):
         p = params(n_levels=3)
@@ -454,19 +623,20 @@ class TestBlocks:
         assert abs(np.trace(eff0) - 1.0) <= 1e-12
         assert abs(np.linalg.eigvalsh(eff0)[0] + 1e-3) <= 1e-12
         with pytest.raises(ValueError):
-            evolve_exact(h, eff0, [0.0, 1.0])
+            exact_states(h, eff0, [0.0, 1.0])
 
 
 class TestMemory:
-    """The traced peak of evolve_exact, in units of h.nbytes. With T >= N
-    times each Gram block K_rc is formed twice, for rho_e and for its readout,
-    so one is alive at a time; with T < N one block pair's K_rc are held.
-    Times are read out in fixed-size chunks and rho_e = X + X^dagger needs no
-    scratch block, so only a block's phases and the output grow with T. A
-    block's phases and rows go after its last block pair, the Bell frame
-    W h W is built in one array, and a temporary h is freed before the
-    eigendecompositions. Cases: N = 120 at xi = 0, 1 and 0.5 with two times
-    (the hold path), and N = 60, xi = 0.5 with 400 times (the re-form path)."""
+    """The traced peak of evolve_exact with ``SYSTEM_OBSERVABLES``, the CLI's
+    call, in units of h.nbytes. With T >= N times rho_e and each readout's
+    Gram block are one fused product each, formed a panel of columns at a
+    time, so no K_rc is formed; with T < N one block pair's K_rc are held.
+    Times are read out in fixed-size chunks, so only a block's phases and the
+    (T, F) output grow with T. A block's phases and rows go after its last
+    block pair, the Bell frame W h W is built in one array, and a temporary h
+    is freed before the eigendecompositions. Cases: N = 120 at xi = 0, 1 and
+    0.5 with two times (the hold path), and N = 60 at xi = 0.5, 0 and 1 with
+    400 times (the fused path, across two blocks and within one)."""
 
     P = ModelParams(n_levels=120, delta_eps=0.5, alpha=0.005, xi=0.0, seed=3)
     EFF0 = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
@@ -482,13 +652,14 @@ class TestMemory:
         tracemalloc.start()
         try:
             if held:
-                states = evolve_exact(h, self.EFF0, times)
+                vals = evolve_exact(h, self.EFF0, times, SYSTEM_OBSERVABLES)
             else:   # as the CLI passes it, the build counted in the peak
-                states = evolve_exact(build_hamiltonian(p, cpl), self.EFF0, times)
+                vals = evolve_exact(build_hamiltonian(p, cpl), self.EFF0, times,
+                                    SYSTEM_OBSERVABLES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / h.nbytes, calls, states
+        return peak / h.nbytes, calls, vals
 
     # the one block that needs eigh: 2N at xi = 0 and 1, the 3N Bell-frame
     # block at 0 < xi < 1
@@ -496,10 +667,14 @@ class TestMemory:
         (120, 0.0, 2, True, 1.8, 240), (120, 0.0, 2, False, 2.0, 240),
         (120, 1.0, 2, True, 1.8, 240), (120, 1.0, 2, False, 2.7, 240),
         (120, 0.5, 2, True, 5.3, 360), (120, 0.5, 2, False, 5.3, 360),
-        (60, 0.5, 400, True, 3.9, 180), (60, 0.5, 400, False, 3.9, 180)],
+        (60, 0.5, 400, True, 3.9, 180), (60, 0.5, 400, False, 3.9, 180),
+        (60, 0.0, 400, True, 2.8, 120), (60, 0.0, 400, False, 2.8, 120),
+        (60, 1.0, 400, True, 2.8, 120), (60, 1.0, 400, False, 2.8, 120)],
         ids=["held", "temporary", "n120-xi1-held", "n120-xi1-temporary",
              "n120-xi0.5-held", "n120-xi0.5-temporary",
-             "n60-xi0.5-held", "n60-xi0.5-temporary"])
+             "n60-xi0.5-held", "n60-xi0.5-temporary",
+             "n60-xi0-held", "n60-xi0-temporary",
+             "n60-xi1-held", "n60-xi1-temporary"])
     def test_peak(self, monkeypatch, n_levels, xi, points, held, bound, block):
         p = replace(self.P, n_levels=n_levels, xi=xi)
         times = np.linspace(0.0, self.TIMES[-1], points)
@@ -508,8 +683,8 @@ class TestMemory:
         assert peak <= bound
 
     def test_readout_does_not_grow_with_times(self, monkeypatch):
-        # 400 more times may add the 3N block's phases and the (T, 4, 4)
-        # output, (3N + 16) * 16 B a time: 1.36 h.nbytes at N = 60
+        # 400 more times may add the 3N block's phases and the (T, 4) output,
+        # (3N * 16 + 4 * 8) B a time: 1.25 h.nbytes at N = 60
         p = replace(self.P, n_levels=60, xi=0.5)
         short, long = (self._peak(monkeypatch, p, True, np.linspace(0.0, self.TIMES[-1], t))[0]
                        for t in (400, 800))
@@ -520,10 +695,11 @@ class TestMemory:
     def test_decoupled_pairs_take_no_eigh(self, monkeypatch, held, bound):
         # at alpha = 0 every pair is on its own, so each Gram block is an
         # N x N identity, and the level-uniform state does not move
-        peak, calls, states = self._peak(monkeypatch, replace(self.P, alpha=0.0), held)
+        peak, calls, vals = self._peak(monkeypatch, replace(self.P, alpha=0.0), held)
         assert calls == []
         assert peak <= bound
-        assert np.abs(states - self.EFF0).max() <= 1e-15
+        expected = np.einsum('fcr,rc->f', SYSTEM_OBSERVABLES, self.EFF0).real
+        assert np.abs(vals - expected).max() <= 1e-15
 
 
 class TestEnsembleAverage:
@@ -531,7 +707,7 @@ class TestEnsembleAverage:
     def _runner(env=("branch_projector", 0.0, 1), times=np.linspace(0, 10, 5)):
         def run_one(p):
             h, rho0 = setup(p, env=env)
-            return evolve_exact(h, sector_variables(rho0), times)
+            return exact_states(h, sector_variables(rho0), times)
         return run_one
 
     def test_single_realization_identity(self):
@@ -580,6 +756,6 @@ class TestEnsembleAverage:
         for k in range(8):
             q = p.with_seed(1000 + k)
             h, rho0 = setup(q, env=("branch_projector", theta0, 1))
-            states = evolve_exact(h, sector_variables(rho0), np.array([0.0, t_final]))
+            states = exact_states(h, sector_variables(rho0), np.array([0.0, t_final]))
             finals.append(reduced_from_sector(states)[-1, 0, 0].real)
         assert np.std(finals, ddof=1) <= 0.03
