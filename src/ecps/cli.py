@@ -52,8 +52,8 @@ from . import __version__
 from .config import (_SECTIONS, ConfigError, SCHEMA_VERSION, end_time,
                      initial_pieces, load_config, model_params, n_realizations,
                      projector_thetas, theta_tag, time_grid)
-from .exact import (SYSTEM_OBSERVABLES, ensemble_average, evolve_exact,
-                    realization_seeds, reduced_from_sector, sector_variables)
+from .exact import (SYSTEM_NAMES, SYSTEM_OBSERVABLES, ensemble_average, evolve_exact,
+                    realization_seeds, sector_variables, system_values)
 from .model import build_hamiltonian, initial_state, sample_couplings
 from .superop import apply_superop, projector_superop, scan_delta, tcl_generator
 from .tcl import ecps_evolve, solve_tcl, steady_state
@@ -110,13 +110,6 @@ def _exact_run(cfg: dict, params, times):
     return exact, eff0, pieces
 
 
-def _system_values(states):
-    """(..., 4) values rho00, rho11, Re rho01, Im rho01 of effective states."""
-    s = reduced_from_sector(states)
-    return np.stack([s[..., 0, 0].real, s[..., 1, 1].real,
-                     s[..., 0, 1].real, s[..., 0, 1].imag], axis=-1)
-
-
 def _realizations(cfg: dict, params) -> dict:
     """How many coupling realizations a run draws, and the seed of each."""
     n_real = n_realizations(cfg)
@@ -133,16 +126,18 @@ def run_compare(cfg: dict, out_dir: Path) -> list[Path]:
     tcl_thetas = {f"tcl_{theta_tag(th)}": th for th in thetas}
     curves = {"exact": exact}
     for name, th in tcl_thetas.items():
-        curves[name] = _system_values(solve_tcl(
+        curves[name] = system_values(solve_tcl(
             tcl_generator(th, params.xi, lam),
             apply_superop(projector_superop(th), eff0), times, th))
     if "ecps" in cfg:
-        curves["ecps"] = _system_values(ecps_evolve(pieces, params.xi, lam, times))
+        curves["ecps"] = system_values(ecps_evolve(pieces, params.xi, lam, times))
 
     header, columns = ["t"], [times]
     for name, v in curves.items():
-        header += [f"{name}_rho00", f"{name}_rho01_re", f"{name}_rho01_im"]
-        columns += [v[:, 0], v[:, 2], v[:, 3]]
+        v = dict(zip(SYSTEM_NAMES, v.T))
+        for q in ("rho00", "rho01_re", "rho01_im"):
+            header.append(f"{name}_{q}")
+            columns.append(v[q])
     csv_path = out_dir / "compare.csv"
     _write_csv(csv_path, header, zip(*columns))
     _write_metadata(out_dir, cfg, params, {
@@ -191,14 +186,14 @@ def run_steady_state(cfg: dict, out_dir: Path) -> list[Path]:
     exact, eff0, pieces = _exact_run(cfg, params, np.array([0.0, t_inf]))
     curves = {
         "exact": exact[-1],
-        "cps_pi4": _system_values(steady_state(
+        "cps_pi4": system_values(steady_state(
             tcl_generator(pi4, params.xi, lam),
             apply_superop(projector_superop(pi4), eff0), pi4)),
-        "ecps": _system_values(sum(
+        "ecps": system_values(sum(
             w * steady_state(tcl_generator(th, params.xi, lam), eff, th)
             for w, eff, th in pieces if w > 0)),
     }
-    quantities = dict(zip(["rho00", "rho11", "rho01_re", "rho01_im"],
+    quantities = dict(zip(SYSTEM_NAMES,
                           np.transpose(list(curves.values()))))
     errors = [f"{n.removesuffix('_pi4')}_abs_err" for n in curves][1:]  # cps, ecps
     steady_path = out_dir / "steady.csv"

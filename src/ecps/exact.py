@@ -69,12 +69,14 @@ Observables: Tr(O eff) = sum_rc O[c, r] eff[r, c] is linear in the entries,
 so the part of a block pair is one readout sum_ab ph_a (G * rho_e)[a, b]
 conj(ph_b) of one Gram block G = sum_rc y[r, c] K_rc. A block pair's
 readouts are its jobs (y, u): each takes one T x |B| x |B'| product and adds
-Re(u_f e(t)) to observable f, e(t) the readout's complex conjugate. Within
-one block the part of each observable is real, as O and eff are Hermitian,
-so the observables are packed two to a job, X = O_a - i O_b and y = X^T:
-e = v_a + i v_b, u = (1, -i). Across two blocks the part is
-2 Re sum O[c, r] eff[r, c], so there is one job per entry (r, c) that some
-observable weighs: y = 1 at (r, c), e = conj(eff[r, c]), u_f = 2 O_f[r, c].
+Re(u_f e(t)) to observable f, e(t) the readout's complex conjugate. At
+T >= N, within one block the part of each observable is real, as O and eff
+are Hermitian, so the observables are packed two to a job,
+X = O_a - i O_b and y = X^T: e = v_a + i v_b, u = (1, -i). Otherwise, across
+two blocks and at T < N, there is one job per entry (r, c) that some
+observable weighs, r <= c within one block: y = 1 at (r, c),
+e = conj(eff[r, c]), u_f = O_f[r, r] on the diagonal and 2 O_f[r, c] off
+it, as O[c, r] eff[r, c] + O[r, c] eff[c, r] = 2 Re(O[c, r] eff[r, c]).
 A block pair is skipped when no observable weighs it or when eff0 is zero on
 it (rho_e = 0). Two pairs each on its own have identity rows and rho_e a
 multiple of I, so their readout is sum_a ph_a conj(ph'_a), O(T N).
@@ -82,13 +84,19 @@ multiple of I, so their readout is sum_a ph_a conj(ph'_a), O(T N).
 Gram blocks: a K_rc costs N multiply-adds an entry and a readout T. At
 T >= N, rho_e and each job's G are one fused product each,
 A_B^T (y (x) I_N) conj(A_B'), where (y (x) I_N) conj(A_B') is formed a panel
-of columns at a time in one buffer of 2**14 entries, so no K_rc is formed at
-all. At T < N, a block pair's K_rc are formed once and held (within one
-block r <= c, as K_cr = K_rc^dagger), and rho_e and each G are sums of them.
-A pair on its own has identity rows, never formed: its Gram blocks are
-conj(A_c), A_r^T or I. Each G becomes G * rho_e in place just before its
-readout, done in chunks of 2**14 // |B'| times in the same buffer, so that no
-readout buffer grows with T.
+of columns at a time in one buffer, so no K_rc is formed at all. At T < N,
+a block pair's K_rc are formed once and held (within one block r <= c, as
+K_cr = K_rc^dagger), and rho_e is a sum of them, added a panel of rows at a
+time through the buffer. Each job's G is then its one held K, which it
+reads out in place: a packed job's G would be a new block besides the held
+ones, a sum over them that costs more than the readouts it saves while T is
+small. A pair on its own has identity rows, never formed: its Gram blocks
+are conj(A_c), A_r^T or I. Each G becomes G * rho_e in place just before its
+readout, done in chunks of the buffer's rows, |buffer| // |B'| times, so
+that no readout buffer grows with T. The buffer holds 2**14 entries
+(256 KiB), or one row of the widest block if that is wider, but never more
+than max(T, width) rows of that block: all that a panel, a row panel or a
+chunk of times can fill.
 """
 from __future__ import annotations
 
@@ -124,7 +132,10 @@ SYSTEM_OBSERVABLES = np.kron([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                               [[0.0, 0.5], [0.5, 0.0]], [[0.0, 0.5j], [-0.5j, 0.0]]],
                              np.eye(2))
 SYSTEM_OBSERVABLES.flags.writeable = False
-#: complex entries of the buffer for panels and readout chunks (256 KiB)
+#: the names of ``SYSTEM_OBSERVABLES``, in its order
+SYSTEM_NAMES = ("rho00", "rho11", "rho01_re", "rho01_im")
+#: complex entries of the buffer for panels and readout chunks (256 KiB),
+#: unless one row of the widest block is longer
 _CHUNK = 2 ** 14
 #: sqrt(2) U4: its columns are Phi+, Psi+, Psi-, Phi- over the pairs r = 2l + j
 _BELL = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
@@ -132,6 +143,14 @@ _BELL = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
 #: row (= column) r of _BELL as (p, q, op): its pairs p < q, added or subtracted
 _BELL_PAIRS = [(p, q, np.add if row[q] > 0 else np.subtract)
                for row in _BELL for p, q in [np.flatnonzero(row)]]
+
+
+def system_values(states: np.ndarray) -> np.ndarray:
+    """(..., 4) values of ``SYSTEM_OBSERVABLES`` (``SYSTEM_NAMES``) of
+    (..., 4, 4) effective states, read off ``reduced_from_sector``."""
+    s = reduced_from_sector(states)
+    return np.stack([s[..., 0, 0].real, s[..., 1, 1].real,
+                     s[..., 0, 1].real, s[..., 0, 1].imag], axis=-1)
 
 
 def _bell_frame(m: np.ndarray) -> np.ndarray:
@@ -233,14 +252,18 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times, observables) -> np.ndar
         obs = _BELL @ obs @ _BELL / 2
     ph = [np.exp(p, out=p) for p in (np.multiply.outer(times, -1j * e) for e in w)]
     # a K_rc costs N an entry and a readout T: below N times the products
-    # dominate, so each K_rc is formed once and held
+    # dominate, so each K_rc is formed once, held and read out in place
     fuse = times.size >= n
     vals = np.zeros((times.size, len(obs)))
-    buf = np.empty(_CHUNK, dtype=complex)       # the panels and readout chunks
+    widest = max(e.size for e in w)
+    # the panels and readout chunks: 2**14 entries, or one row of the widest
+    # block if wider, but no more than max(T, its width) rows of it
+    buf = np.empty(widest * min(max(1, _CHUNK // widest), max(times.size, widest)),
+                   dtype=complex)
     for i in range(len(w)):
         for j in range(i, len(w)):
             c_ij = coef[np.ix_(pairs[i], pairs[j])]
-            jobs = _jobs(obs[:, pairs[i]][:, :, pairs[j]], i == j)
+            jobs = _jobs(obs[:, pairs[i]][:, :, pairs[j]], i == j, pack=fuse)
             if not jobs or not c_ij.any():
                 continue
             a, b = rows[i], rows[j]
@@ -248,17 +271,18 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times, observables) -> np.ndar
                 for y, u in jobs:
                     _readout(ph[i], None, ph[j], np.conj(c_ij[0, 0] * y[0, 0]) * u, vals, buf)
                 continue
+            # rho_e = V_i^dagger rho0 V_j = conj(sum_rc conj(coef[r, c]) K_rc)
             if fuse:
                 gram = partial(_fused, a_i=a, a_j=b, buf=buf)
-            else:   # each K_rc once, within one block r <= c
+                rho_e = gram(c_ij.conj())
+            else:   # each K_rc once, within one block r <= c; a job is one K
                 need = (c_ij != 0) | np.any([y != 0 for y, _ in jobs], axis=0)
                 need |= need.T if i == j else False
                 ks = {(r, c): _gram(None if a is None else a[r], None if b is None else b[c])
                       for r, c in np.argwhere(need) if i < j or r <= c}
-                gram = partial(_held_sum, ks=ks, same=i == j, buf=buf)
+                rho_e = _held_sum(c_ij.conj(), ks, i == j, buf)
+                gram = partial(_held_entry, ks=ks)
                 del ks
-            # rho_e = V_i^dagger rho0 V_j = conj(sum_rc conj(coef[r, c]) K_rc)
-            rho_e = gram(c_ij.conj())
             np.conjugate(rho_e, out=rho_e)
             for y, u in jobs:
                 m = gram(y)
@@ -319,10 +343,16 @@ def _held_sum(y, ks, same, buf) -> np.ndarray:
     return out
 
 
+def _held_entry(y, ks) -> np.ndarray:
+    """The held K_rc of a one-entry job y (y[r, c] = 1), handed over: no
+    other job reads it, so its readout scales it in place."""
+    return ks.pop(tuple(np.argwhere(y)[0]))
+
+
 def _readout(ph_i, m, ph_j, u, vals, buf):
     """vals += Re(u_f e(t)) for every observable f, with e(t) = sum_ab
     conj(ph_i[t, a] m[a, b]) ph_j[t, b] (m None: the identity), a chunk of
-    2**14 // w_j times at a time through ``buf``."""
+    |buf| // w_j times at a time through ``buf``."""
     step = max(1, buf.size // ph_j.shape[1])
     for t in range(0, len(vals), step):
         s = slice(t, t + step)
@@ -334,28 +364,31 @@ def _readout(ph_i, m, ph_j, u, vals, buf):
         vals[s] += np.multiply.outer(np.einsum('tb,tb->t', pm, ph_j[s]), u).real
 
 
-def _jobs(o, same: bool):
+def _jobs(o, same: bool, pack: bool):
     """The readouts of one block pair, each as (y, u): its Gram block is
     sum_rc y[r, c] K_rc, and its readout e(t) adds Re(u_f e(t)) to observable
     f. ``o`` holds the observables' (B, B') entries, (F, |B|, |B'|).
 
-    Within one block each observable's readout is real, so the observables
-    that weigh the block go two to a readout, X = O_a - i O_b, y = X^T:
-    e = v_a + i v_b. Across two blocks there is one readout per entry (r, c)
-    that some observable weighs, y = 1 there: e = conj(eff[r, c]) and
-    v_f gains 2 Re(O_f[r, c] e), the entry and its conjugate (c, r)."""
+    With ``pack``, within one block each observable's readout is real, so
+    the observables that weigh the block go two to a readout,
+    X = O_a - i O_b, y = X^T: e = v_a + i v_b. Otherwise there is one readout
+    per entry (r, c) that some observable weighs, r <= c within one block,
+    y = 1 there: e = conj(eff[r, c]), and v_f gains Re(O_f[r, c] e) on the
+    diagonal and 2 Re(O_f[r, c] e) off it, the entry and its conjugate (c, r)."""
     jobs = []
-    if same:
+    if same and pack:
         weighed = [f for f in range(len(o)) if o[f].any()]
-        for pack in (weighed[q:q + 2] for q in range(0, len(weighed), 2)):
+        for two in (weighed[q:q + 2] for q in range(0, len(weighed), 2)):
             u = np.zeros(len(o), dtype=complex)
-            u[pack] = [1, -1j][:len(pack)]
-            jobs.append((np.einsum('f,fcr->rc', u[pack], o[pack]), u))   # X^T
+            u[two] = [1, -1j][:len(two)]
+            jobs.append((np.einsum('f,fcr->rc', u[two], o[two]), u))     # X^T
     else:
         for r, c in np.argwhere(o.any(axis=0)):
+            if same and r > c:
+                continue
             y = np.zeros(o.shape[1:])
             y[r, c] = 1.0
-            jobs.append((y, 2 * o[:, r, c]))
+            jobs.append((y, (1 if same and r == c else 2) * o[:, r, c]))
     return jobs
 
 

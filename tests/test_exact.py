@@ -270,31 +270,34 @@ class TestEvolveExact:
             monkeypatch.setattr(ecps.exact, name, recording)
         return events
 
-    # (readouts, fused products at T >= N, held K_rc at T < N) of the system
-    # observables from an eff0 with no zero coefficient block, N = 12
-    PLAN = {(0.0, 0.0): (6, 0, 0),      # four lone pairs: O(T N) diagonals
-            (0.3, 0.0): (6, 0, 0), (1.0, 0.0): (6, 0, 0),
-            (0.0, 0.02): (5, 6, 7),     # {0}, {1, 2}, {3}
-            (0.3, 0.02): (6, 7, 9),     # Bell frame {Phi+}, {Psi+, Psi-, Phi-}
-            (1.0, 0.02): (9, 9, 7)}     # Bell frame {Phi+}, {Psi+}, {Psi-, Phi-}
+    # (held K_rc and their readouts at T < N, fused products and readouts at
+    # T >= N) of the system observables from an eff0 with no zero coefficient
+    # block, N = 12
+    PLAN = {(0.0, 0.0): (0, 6, 0, 6),   # four lone pairs: O(T N) diagonals
+            (0.3, 0.0): (0, 6, 0, 6), (1.0, 0.0): (0, 6, 0, 6),
+            (0.0, 0.02): (7, 6, 6, 5),  # {0}, {1, 2}, {3}
+            (0.3, 0.02): (9, 10, 7, 6),     # Bell frame {Phi+}, {Psi+, Psi-, Phi-}
+            (1.0, 0.02): (7, 10, 9, 9)}     # Bell frame {Phi+}, {Psi+}, {Psi-, Phi-}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.02])
     @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("points", [11, 12, 13])
     def test_gram_blocks_and_readouts_per_block_pair(self, monkeypatch, points, xi, alpha):
-        # at T < N each K_rc is formed once and held (within one block r <= c);
-        # from T = N on a block pair takes one fused product for rho_e and
-        # one for each readout, and a pair of lone pairs takes none
+        # at T < N each K_rc is formed once and held (within one block r <= c)
+        # and read out in place, one readout per weighed entry; from T = N on
+        # a block pair takes one fused product for rho_e and one for each
+        # readout, and a pair of lone pairs takes none
         events = self._record(monkeypatch)
         p = params(n_levels=12, xi=xi, alpha=alpha)
         h = build_hamiltonian(p, sample_couplings(p))
         eff0 = np.full((4, 4), 0.02) + np.diag([0.2, 0.3, 0.1, 0.32])
         evolve_exact(h, eff0, np.linspace(0.0, 10.0, points), SYSTEM_OBSERVABLES)
         tags = "".join(tag for tag, _ in events)
-        readouts, fused, held = self.PLAN[xi, alpha]
-        assert tags.count("R") == readouts
+        held, held_readouts, fused, fused_readouts = self.PLAN[xi, alpha]
         if points < 12:
-            # per block pair: its K_rc, each from other rows, then a readout per job
+            # per block pair: its K_rc, each from other rows, then a readout
+            # of each weighed one
+            assert tags.count("R") == held_readouts
             assert tags.count("G") == held and re.fullmatch(r"(R|G+R+)*", tags)
             for run in re.finditer("G+", tags):
                 keys = {tuple(None if a is None else (a.ctypes.data, a.shape) for a in args)
@@ -302,6 +305,7 @@ class TestEvolveExact:
                 assert len(keys) == run.end() - run.start()
         else:
             # per block pair: rho_e, then a Gram block and its readout per job
+            assert tags.count("R") == fused_readouts
             assert tags.count("F") == fused and re.fullmatch(r"(R|F(FR)+)*", tags)
 
     @pytest.mark.parametrize("points", [5, 40])
@@ -376,6 +380,20 @@ class TestObservables:
         times = np.linspace(0.0, 30.0, points)
         vals = evolve_exact(h, self.EFF0[eff0], times, SYSTEM_OBSERVABLES)
         s, _ = evolve_exact_dense(h, embed_level_uniform(self.EFF0[eff0], n_levels), times, ())
+        assert np.abs(vals - self._system(s)).max() <= 1e-12
+
+    @pytest.mark.parametrize("eff0", ["full", "bell-zero"])
+    @pytest.mark.parametrize("points", [5, 40])
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_blocks_wider_than_the_buffer_bound(self, monkeypatch, xi, points, eff0):
+        # with a 2**3-entry bound every block at N = 12 (N, 2N and 3N wide)
+        # is wider than it: the buffer still holds one row of the widest
+        monkeypatch.setattr(ecps.exact, "_CHUNK", 2 ** 3)
+        p = params(n_levels=12, xi=xi, alpha=0.3, delta_eps=2.0)
+        h = build_hamiltonian(p, sample_couplings(p))
+        times = np.linspace(0.0, 30.0, points)
+        vals = evolve_exact(h, self.EFF0[eff0], times, SYSTEM_OBSERVABLES)
+        s, _ = evolve_exact_dense(h, embed_level_uniform(self.EFF0[eff0], 12), times, ())
         assert np.abs(vals - self._system(s)).max() <= 1e-12
 
     @pytest.mark.parametrize("points", [5, 40])
@@ -630,7 +648,8 @@ class TestMemory:
     """The traced peak of evolve_exact with ``SYSTEM_OBSERVABLES``, the CLI's
     call, in units of h.nbytes. With T >= N times rho_e and each readout's
     Gram block are one fused product each, formed a panel of columns at a
-    time, so no K_rc is formed; with T < N one block pair's K_rc are held.
+    time, so no K_rc is formed; with T < N one block pair's K_rc are held,
+    and each is read out in place.
     Times are read out in fixed-size chunks, so only a block's phases and the
     (T, F) output grow with T. A block's phases and rows go after its last
     block pair, the Bell frame W h W is built in one array, and a temporary h
