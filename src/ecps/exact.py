@@ -69,38 +69,34 @@ Observables: Tr(O eff) = sum_rc O[c, r] eff[r, c] is linear in the entries,
 so the part of a block pair is one readout sum_ab ph_a (G * rho_e)[a, b]
 conj(ph_b) of one Gram block G = sum_rc y[r, c] K_rc. A block pair's
 readouts are its jobs (y, u): each takes one T x |B| x |B'| product and adds
-Re(u_f e(t)) to observable f, e(t) the readout's complex conjugate. At
-T >= N, within one block the part of each observable is real, as O and eff
-are Hermitian, so the observables are packed two to a job,
-X = O_a - i O_b and y = X^T: e = v_a + i v_b, u = (1, -i). Otherwise, across
-two blocks and at T < N, there is one job per entry (r, c) that some
-observable weighs, r <= c within one block: y = 1 at (r, c),
-e = conj(eff[r, c]), u_f = O_f[r, r] on the diagonal and 2 O_f[r, c] off
-it, as O[c, r] eff[r, c] + O[r, c] eff[c, r] = 2 Re(O[c, r] eff[r, c]).
+Re(u_f e(t)) to observable f, e(t) the readout's complex conjugate. Within
+one block the part of each observable is real, as O and eff are Hermitian,
+so at every T the observables are packed two to a job, X = O_a - i O_b and
+y = X^T: e = v_a + i v_b, u = (1, -i). Across two blocks there is one job
+per entry (r, c) that some observable weighs: y = 1 at (r, c),
+e = conj(eff[r, c]), u_f = 2 O_f[r, c], as
+O[c, r] eff[r, c] + O[r, c] eff[c, r] = 2 Re(O[c, r] eff[r, c]).
 A block pair is skipped when no observable weighs it or when eff0 is zero on
 it (rho_e = 0). Two pairs each on its own have identity rows and rho_e a
 multiple of I, so their readout is sum_a ph_a conj(ph'_a), O(T N).
 
-Gram blocks: a K_rc costs N multiply-adds an entry and a readout T. At
-T >= N, rho_e and each job's G are one fused product each,
-A_B^T (y (x) I_N) conj(A_B'), where (y (x) I_N) conj(A_B') is formed a panel
-of columns at a time in one buffer, so no K_rc is formed at all. At T < N,
-a block pair's K_rc are formed once and held (within one block r <= c, as
-K_cr = K_rc^dagger), and rho_e is a sum of them, added a panel of rows at a
-time through the buffer. Each job's G is then its one held K, which it
-reads out in place: a packed job's G would be a new block besides the held
-ones, a sum over them that costs more than the readouts it saves while T is
-small. A pair on its own has identity rows, never formed: its Gram blocks
-are conj(A_c), A_r^T or I. Each G becomes G * rho_e in place just before its
+Gram blocks: rho_e and each job's G are one fused product each,
+A_B^T (y (x) I_N) conj(A_B'), N multiply-adds an entry for each pair of B
+it runs over, so no K_rc is formed. Within one block the eigenvectors are
+unitary, so sum_{r in B} K_rr = I: a diagonal entry s of y goes out as s I
+when that shortens the contiguous range of pairs whose rows of y - s I are
+nonzero, the range the product runs over. So the packed rho00/rho11 job of
+the 2N block at xi = 0 takes N rows, not 2N, and y = s I takes none.
+(y (x) I_N) conj(A_B') is formed a panel of columns at a time in one buffer.
+A pair on its own has identity rows, never formed: its Gram blocks are
+conj(A_c) or A_r^T. Each G becomes G * rho_e in place just before its
 readout, done in chunks of the buffer's rows, |buffer| // |B'| times, so
 that no readout buffer grows with T. The buffer holds 2**14 entries
 (256 KiB), or one row of the widest block if that is wider, but never more
-than max(T, width) rows of that block: all that a panel, a row panel or a
-chunk of times can fill.
+than max(T, width) rows of that block: all that a panel or a chunk of times
+can fill.
 """
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -251,9 +247,6 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times, observables) -> np.ndar
     if bell_frame:
         obs = _BELL @ obs @ _BELL / 2
     ph = [np.exp(p, out=p) for p in (np.multiply.outer(times, -1j * e) for e in w)]
-    # a K_rc costs N an entry and a readout T: below N times the products
-    # dominate, so each K_rc is formed once, held and read out in place
-    fuse = times.size >= n
     vals = np.zeros((times.size, len(obs)))
     widest = max(e.size for e in w)
     # the panels and readout chunks: 2**14 entries, or one row of the widest
@@ -263,7 +256,7 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times, observables) -> np.ndar
     for i in range(len(w)):
         for j in range(i, len(w)):
             c_ij = coef[np.ix_(pairs[i], pairs[j])]
-            jobs = _jobs(obs[:, pairs[i]][:, :, pairs[j]], i == j, pack=fuse)
+            jobs = _jobs(obs[:, pairs[i]][:, :, pairs[j]], i == j)
             if not jobs or not c_ij.any():
                 continue
             a, b = rows[i], rows[j]
@@ -272,81 +265,58 @@ def evolve_exact(h: np.ndarray, eff0: np.ndarray, times, observables) -> np.ndar
                     _readout(ph[i], None, ph[j], np.conj(c_ij[0, 0] * y[0, 0]) * u, vals, buf)
                 continue
             # rho_e = V_i^dagger rho0 V_j = conj(sum_rc conj(coef[r, c]) K_rc)
-            if fuse:
-                gram = partial(_fused, a_i=a, a_j=b, buf=buf)
-                rho_e = gram(c_ij.conj())
-            else:   # each K_rc once, within one block r <= c; a job is one K
-                need = (c_ij != 0) | np.any([y != 0 for y, _ in jobs], axis=0)
-                need |= need.T if i == j else False
-                ks = {(r, c): _gram(None if a is None else a[r], None if b is None else b[c])
-                      for r, c in np.argwhere(need) if i < j or r <= c}
-                rho_e = _held_sum(c_ij.conj(), ks, i == j, buf)
-                gram = partial(_held_entry, ks=ks)
-                del ks
+            rho_e = _fused(c_ij.conj(), a, b, buf)
             np.conjugate(rho_e, out=rho_e)
             for y, u in jobs:
-                m = gram(y)
+                m = _fused(y, a, b, buf)
                 m *= rho_e
                 _readout(ph[i], m, ph[j], u, vals, buf)
                 del m
-            del gram, rho_e     # this pair's arrays, freed before the next pair's
+            del rho_e       # this pair's arrays, freed before the next pair's
         ph[i] = rows[i] = None      # no later pair reads block i
     return vals
 
 
-def _gram(a_r, a_c) -> np.ndarray:
-    """A new K_rc = A_r^T conj(A_c); None stands for a lone pair's identity rows."""
-    if a_r is None:
-        return a_c.conj()
-    return a_r.T.copy() if a_c is None else a_r.T @ a_c.conj()
+def _span(y) -> slice:
+    """The contiguous range of pairs whose rows of y are nonzero."""
+    nonzero = np.flatnonzero(y.any(axis=1))
+    return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
 
 
 def _fused(y, a_i, a_j, buf) -> np.ndarray:
     """A new sum_rc y[r, c] K_rc = A_i^T (y (x) I_N) conj(A_j) for the stacked
     rows A_i (k, N, w_i) and A_j of a block pair, None for a lone pair's
-    identity rows (not both). One product: (y (x) I_N) conj(A_j) is formed
-    a panel of columns at a time in ``buf``."""
+    identity rows (not both): one product over a view of the pairs whose rows
+    of y are nonzero, with (y (x) I_N) conj(A_j) formed a panel of columns at
+    a time in ``buf``. Within one block (A_i is A_j) sum_r K_rr = I, so a
+    diagonal entry s of y goes out as s I when that shortens the range."""
     if a_j is None:
         return np.tensordot(y[:, 0], a_i, axes=1).T
     if a_i is None:
         out = np.tensordot(y[0].conj(), a_j, axes=1)
         return np.conjugate(out, out=out)
-    k, n, w_i = a_i.shape
+    shift, rows = 0, _span(y)
+    if a_i is a_j:
+        for s in np.diagonal(y):
+            span = _span(y - s * np.eye(len(y)))
+            if span.stop - span.start < rows.stop - rows.start:
+                shift, rows = s, span
+    y, a = (y - shift * np.eye(len(y)))[rows], a_i[rows]
+    k, n, w_i = a.shape
     w_j = a_j.shape[2]
     out = np.empty((w_j, w_i), dtype=complex).T     # each panel's columns contiguous
-    step = max(1, buf.size // (k * n))
+    step = max(1, buf.size // (len(a_i) * n))   # einsum buffers an N x step slice
     for c in range(0, w_j, step):
         cols = slice(c, min(c + step, w_j))
-        panel = buf[:k * n * (cols.stop - c)].reshape(k, n, -1)
+        width = cols.stop - c
+        panel = buf[:k * n * width].reshape(k, n, width)
         np.einsum('rc,cnb->rnb', y.conj(), a_j[:, :, cols], out=panel)
-        np.matmul(a_i.reshape(k * n, w_i).T, np.conjugate(panel, out=panel).reshape(k * n, -1),
+        # a sum over no pairs (y = s I, k = 0) writes zeros
+        np.matmul(a.reshape(k * n, w_i).T, np.conjugate(panel, out=panel).reshape(k * n, width),
                   out=out[:, cols])
+    if shift:
+        np.einsum('ii->i', out)[...] += shift
     return out
-
-
-def _held_sum(y, ks, same, buf) -> np.ndarray:
-    """A new sum_rc y[r, c] K_rc from the held K_rc, keyed by (r, c) and only
-    r <= c within one block (same), where K_cr = K_rc^dagger; the terms are
-    added a panel of rows at a time through ``buf``."""
-    # y[c, r] K_cr = conj(conj(y[c, r]) K_rc^T)
-    terms = [(y[r, c], k, False) for (r, c), k in ks.items()] + \
-        [(np.conj(y[c, r]), k.T, True) for (r, c), k in ks.items() if same and r != c]
-    out = np.zeros(next(iter(ks.values())).shape, dtype=complex)
-    step = max(1, buf.size // out.shape[1])
-    for t in range(0, out.shape[0], step):
-        o = out[t:t + step]
-        tmp = buf[:o.size].reshape(o.shape)
-        for scale, k, conj in terms:
-            if scale:
-                np.multiply(k[t:t + step], scale, out=tmp)
-                o += np.conjugate(tmp, out=tmp) if conj else tmp
-    return out
-
-
-def _held_entry(y, ks) -> np.ndarray:
-    """The held K_rc of a one-entry job y (y[r, c] = 1), handed over: no
-    other job reads it, so its readout scales it in place."""
-    return ks.pop(tuple(np.argwhere(y)[0]))
 
 
 def _readout(ph_i, m, ph_j, u, vals, buf):
@@ -364,19 +334,18 @@ def _readout(ph_i, m, ph_j, u, vals, buf):
         vals[s] += np.multiply.outer(np.einsum('tb,tb->t', pm, ph_j[s]), u).real
 
 
-def _jobs(o, same: bool, pack: bool):
+def _jobs(o, same: bool):
     """The readouts of one block pair, each as (y, u): its Gram block is
     sum_rc y[r, c] K_rc, and its readout e(t) adds Re(u_f e(t)) to observable
     f. ``o`` holds the observables' (B, B') entries, (F, |B|, |B'|).
 
-    With ``pack``, within one block each observable's readout is real, so
-    the observables that weigh the block go two to a readout,
-    X = O_a - i O_b, y = X^T: e = v_a + i v_b. Otherwise there is one readout
-    per entry (r, c) that some observable weighs, r <= c within one block,
-    y = 1 there: e = conj(eff[r, c]), and v_f gains Re(O_f[r, c] e) on the
-    diagonal and 2 Re(O_f[r, c] e) off it, the entry and its conjugate (c, r)."""
+    Within one block each observable's readout is real, so the observables
+    that weigh the block go two to a readout, X = O_a - i O_b, y = X^T:
+    e = v_a + i v_b. Across two blocks there is one readout per entry (r, c)
+    that some observable weighs, y = 1 there: e = conj(eff[r, c]), and v_f
+    gains 2 Re(O_f[r, c] e), the entry and its conjugate (c, r)."""
     jobs = []
-    if same and pack:
+    if same:
         weighed = [f for f in range(len(o)) if o[f].any()]
         for two in (weighed[q:q + 2] for q in range(0, len(weighed), 2)):
             u = np.zeros(len(o), dtype=complex)
@@ -384,11 +353,9 @@ def _jobs(o, same: bool, pack: bool):
             jobs.append((np.einsum('f,fcr->rc', u[two], o[two]), u))     # X^T
     else:
         for r, c in np.argwhere(o.any(axis=0)):
-            if same and r > c:
-                continue
             y = np.zeros(o.shape[1:])
             y[r, c] = 1.0
-            jobs.append((y, (1 if same and r == c else 2) * o[:, r, c]))
+            jobs.append((y, 2 * o[:, r, c]))
     return jobs
 
 

@@ -4,7 +4,10 @@
 Criteria 3-6 validate the solvers against exact composite dynamics and
 closed-form limits; criterion 7 checks the paper's ECPS claim against the
 best single projector, and criterion 8 checks that the Choi-scan diagnostic
-predicts which single projector is the better one. Criteria 1 and 2c check
+predicts which single projector is the better one. Criterion 9 pins exp(G t)
+of the unprojected generator as the theta-free reference: on the system
+state, the theta = 0 curve gives its rho00, the pi/4 curve its rho01, and
+ECPS with the shipped assignment all of it. Criteria 1 and 2c check
 the projected generator and its remainder Delta against independent oracles:
 criterion 1 against the closed-form rate tables, criterion 2c against the
 Choi spectrum of Delta built from the exact coupling average of the
@@ -21,10 +24,10 @@ import pytest
 
 from ecps import (STRUCTURAL_TOL, ModelParams, apply_superop, build_hamiltonian,
                   choi_matrix, delta_superop, ecps_evolve, effective_generator_full,
-                  ensemble_average, initial_state,
+                  eig_hermitian, ensemble_average, initial_state,
                   projector_superop, sample_couplings, scan_delta,
                   sector_variables, singular_values, solve_tcl, steady_state,
-                  tcl_generator, reduced_from_sector)
+                  tcl_generator, reduced_from_sector, unvec, vec)
 from ecps.config import environment_state
 from oracles import (choi_oracle, conserved_charge, rate_table_generator,
                      rk4_von_neumann, sector_projector, tcl2_wick_generator,
@@ -436,3 +439,89 @@ def test_criterion_8_choi_scan_predicts_the_better_projector():
     assert elapsed < 60.0
     assert judged > 0 and wrong == []
     assert ecps_gap <= 0.002
+
+
+def _exp_g(xi, rho0, times):
+    """(T, 4, 4) states exp(G t) rho0 of the unprojected generator
+    G = effective_generator_full(xi, 1), from the eigendecomposition of the
+    Hermitian G, its rates clipped at 0 (a rounding-positive rate)."""
+    w, v = eig_hermitian(effective_generator_full(xi, 1.0))
+    decay = np.exp(np.multiply.outer(times, np.minimum(w, 0.0)))
+    return unvec((v[None] * decay[:, None, :]) @ (v.conj().T @ vec(rho0)))
+
+
+def test_criterion_9_exp_gt_is_the_theta_free_reference():
+    # exp(G t), G unprojected, against the projected curves at lambda = 1 over
+    # 5/lambda. Measured before the bounds were fixed (seed 9 below):
+    #   theta = 0 curve vs exp(G t) rho00, 20 states x 5 xi x 100 times: 2.8e-15
+    #   pi/4 curve vs its rho01: 5.6e-16; the theta = 0 curve misses rho01 by
+    #   up to 0.151 (0 at xi = 0, 0.026 / 0.073 / 0.135 / 0.151 at 0.3 ... 1)
+    #   ECPS with criterion 8's shipped assignment vs exp(G t), 200 times:
+    #   <= 1.8e-15 at every xi; with A at pi/4: 0.0987, 0.0942, 0.0756,
+    #   0.0272, 1.77e-3, 3.14e-5 at xi = 0 ... 0.9, and 8.9e-16 at xi = 1
+    #   kernel of G: rho00 0.6 at xi = 0, 0.5 at 1e-2, 0.5, 1 (1.9e-13 off at
+    #   1e-2, whose rate is xi^2 / 2); |rho01| 0.225 at xi = 1; ECPS's
+    #   steady_state pair within 4.9e-13 of it
+    # The identities hold to rounding: bound 1e-14. The steady values get
+    # 1e-11, the rounding of G's kernel vectors, eps |G| / gap, at xi = 1e-2.
+    # xi <= 1e-4 is left out, where steady_state's kernel tolerance counts the
+    # xi channel as conserved.
+    start = time.time()
+    rng = np.random.default_rng(9)
+    times = np.linspace(0.0, 5.0, 100)
+    pop_err = coh_err = coh_miss = 0.0
+    for _ in range(20):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho0 = m @ m.conj().T / np.trace(m @ m.conj().T).real
+        for xi in (0.0, 0.3, 0.5, 0.8, 1.0):
+            ref = reduced_from_sector(_exp_g(xi, rho0, times))
+            zero, pi4 = (reduced_from_sector(solve_tcl(
+                tcl_generator(th, xi, 1.0), apply_superop(projector_superop(th), rho0),
+                times, th)) for th in (0.0, PI4))
+            pop_err = max(pop_err, np.abs(zero[:, 0, 0] - ref[:, 0, 0]).max())
+            coh_err = max(coh_err, np.abs(pi4[:, 0, 1] - ref[:, 0, 1]).max())
+            coh_miss = max(coh_miss, np.abs(zero[:, 0, 1] - ref[:, 0, 1]).max())
+
+    # criterion 8's pieces: the effective state of sys (x) I_N (x) env / N
+    # is sys (x) env
+    a = np.kron(np.diag([0.9, 0.1]), environment_state({"kind": "maximally_mixed"}))
+    b = np.kron(0.5 * np.array([[1.0, 0.8], [0.8, 1.0]]),
+                environment_state({"kind": "plus_projector"}))
+    xis = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    times = np.linspace(0.0, 5.0, 200)
+    shipped, a_at_pi4 = [], []
+    for xi in xis:
+        ref = reduced_from_sector(_exp_g(xi, (a + b) / 2, times))
+        for gaps, theta_a in ((shipped, 0.0), (a_at_pi4, PI4)):
+            ecps = ecps_evolve([(0.5, a, theta_a), (0.5, b, PI4)], xi, 1.0, times)
+            gaps.append(np.abs(reduced_from_sector(ecps) - ref).max())
+
+    steady = {}
+    for xi in (0.0, 1e-2, 0.5, 1.0):
+        w, v = eig_hermitian(effective_generator_full(xi, 1.0))
+        kernel = v[:, np.abs(w) <= 1e-9 * np.abs(w).max()]
+        ker = reduced_from_sector(unvec(kernel @ (kernel.conj().T @ vec((a + b) / 2))))
+        pair = reduced_from_sector(sum(0.5 * steady_state(tcl_generator(th, xi, 1.0), e, th)
+                                       for e, th in ((a, 0.0), (b, PI4))))
+        steady[xi] = (ker[0, 0].real, abs(ker[0, 1]), np.abs(pair - ker).max())
+    elapsed = time.time() - start
+    expected_gaps = [0.0987, 0.0942, 0.0756, 0.0272, 1.77e-3, 3.14e-5]
+    steady_ok = all(abs(p - (0.6 if xi == 0 else 0.5)) <= 1e-11
+                    and abs(c - (0.225 if xi == 1 else 0.0)) <= 1e-11 and d <= 1e-11
+                    for xi, (p, c, d) in steady.items())
+    ok = (pop_err <= 1e-14 and coh_err <= 1e-14 and 0.14 <= coh_miss <= 0.16
+          and max(shipped) <= 1e-14 and np.allclose(a_at_pi4[:-1], expected_gaps, rtol=1e-2)
+          and a_at_pi4[-1] <= 1e-14 and steady_ok and elapsed < 1.0)
+    report(9, ok,
+           f"runtime {elapsed:.2f}s; exp(G t) vs theta = 0 rho00 {pop_err:.1e}, vs pi/4 "
+           f"rho01 {coh_err:.1e} (<= 1e-14), theta = 0 misses rho01 by {coh_miss:.3f}; "
+           f"ECPS {max(shipped):.1e} (<= 1e-14), A at pi/4 "
+           f"{' '.join(f'{g:.3g}' for g in a_at_pi4)}; steady rho00 / |rho01| / pair gap "
+           + ", ".join(f"xi {xi:g}: {p:.6f} / {c:.4f} / {d:.1e}"
+                       for xi, (p, c, d) in steady.items()))
+    assert elapsed < 1.0
+    assert pop_err <= 1e-14 and coh_err <= 1e-14
+    assert 0.14 <= coh_miss <= 0.16
+    assert max(shipped) <= 1e-14
+    assert np.allclose(a_at_pi4[:-1], expected_gaps, rtol=1e-2) and a_at_pi4[-1] <= 1e-14
+    assert steady_ok

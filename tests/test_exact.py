@@ -256,11 +256,10 @@ class TestEvolveExact:
 
     @staticmethod
     def _record(monkeypatch):
-        """The engine's Gram blocks ("G", the K_rc of a held pair), fused
-        products ("F") and readouts ("R"), each with its arguments, in call
-        order."""
+        """The engine's fused products ("F") and readouts ("R"), each with its
+        arguments, in call order."""
         events = []
-        for name, tag in (("_gram", "G"), ("_fused", "F"), ("_readout", "R")):
+        for name, tag in (("_fused", "F"), ("_readout", "R")):
             original = getattr(ecps.exact, name)
 
             def recording(*args, _tag=tag, _original=original, **kwargs):
@@ -270,43 +269,63 @@ class TestEvolveExact:
             monkeypatch.setattr(ecps.exact, name, recording)
         return events
 
-    # (held K_rc and their readouts at T < N, fused products and readouts at
-    # T >= N) of the system observables from an eff0 with no zero coefficient
-    # block, N = 12
-    PLAN = {(0.0, 0.0): (0, 6, 0, 6),   # four lone pairs: O(T N) diagonals
-            (0.3, 0.0): (0, 6, 0, 6), (1.0, 0.0): (0, 6, 0, 6),
-            (0.0, 0.02): (7, 6, 6, 5),  # {0}, {1, 2}, {3}
-            (0.3, 0.02): (9, 10, 7, 6),     # Bell frame {Phi+}, {Psi+, Psi-, Phi-}
-            (1.0, 0.02): (7, 10, 9, 9)}     # Bell frame {Phi+}, {Psi+}, {Psi-, Phi-}
+    # (fused products, readouts) of the system observables from an eff0 with
+    # no zero coefficient block, N = 12, at every T
+    PLAN = {(0.0, 0.0): (0, 6),     # four lone pairs: O(T N) diagonals
+            (0.3, 0.0): (0, 6), (1.0, 0.0): (0, 6),
+            (0.0, 0.02): (6, 5),    # {0}, {1, 2}, {3}
+            (0.3, 0.02): (7, 6),    # Bell frame {Phi+}, {Psi+, Psi-, Phi-}
+            (1.0, 0.02): (9, 9)}    # Bell frame {Phi+}, {Psi+}, {Psi-, Phi-}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.02])
     @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("points", [11, 12, 13])
     def test_gram_blocks_and_readouts_per_block_pair(self, monkeypatch, points, xi, alpha):
-        # at T < N each K_rc is formed once and held (within one block r <= c)
-        # and read out in place, one readout per weighed entry; from T = N on
-        # a block pair takes one fused product for rho_e and one for each
-        # readout, and a pair of lone pairs takes none
+        # on either side of T = N a block pair takes one fused product for
+        # rho_e and one for each readout, and a pair of lone pairs takes none
         events = self._record(monkeypatch)
         p = params(n_levels=12, xi=xi, alpha=alpha)
         h = build_hamiltonian(p, sample_couplings(p))
         eff0 = np.full((4, 4), 0.02) + np.diag([0.2, 0.3, 0.1, 0.32])
         evolve_exact(h, eff0, np.linspace(0.0, 10.0, points), SYSTEM_OBSERVABLES)
         tags = "".join(tag for tag, _ in events)
-        held, held_readouts, fused, fused_readouts = self.PLAN[xi, alpha]
-        if points < 12:
-            # per block pair: its K_rc, each from other rows, then a readout
-            # of each weighed one
-            assert tags.count("R") == held_readouts
-            assert tags.count("G") == held and re.fullmatch(r"(R|G+R+)*", tags)
-            for run in re.finditer("G+", tags):
-                keys = {tuple(None if a is None else (a.ctypes.data, a.shape) for a in args)
-                        for _, args in events[run.start():run.end()]}
-                assert len(keys) == run.end() - run.start()
-        else:
-            # per block pair: rho_e, then a Gram block and its readout per job
-            assert tags.count("R") == fused_readouts
-            assert tags.count("F") == fused and re.fullmatch(r"(R|F(FR)+)*", tags)
+        fused, readouts = self.PLAN[xi, alpha]
+        # per block pair: rho_e, then a Gram block and its readout per job
+        assert tags.count("R") == readouts
+        assert tags.count("F") == fused and re.fullmatch(r"(R|F(FR)+)*", tags)
+
+    @pytest.mark.parametrize("across", [False, True], ids=["within", "across"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["full", "lone", "lone-zero", "diagonal", "identity",
+                                       "entry"])
+    def test_fused_matches_explicit_gram_blocks(self, k, shape, across):
+        # sum_rc y[r, c] K_rc against the explicit K_rc = A_r^T conj(A_c):
+        # within one block a diagonal entry whose row and column are
+        # otherwise zero goes out as s I (sum_r K_rr = I), and y = s I takes
+        # no product; across two blocks of k pairs nothing may go out
+        rng = np.random.default_rng(k)
+        n = 5
+
+        def block_rows():
+            m = rng.standard_normal((k * n, k * n)) + 1j * rng.standard_normal((k * n, k * n))
+            return eig_hermitian(m + m.conj().T)[1].reshape(k, n, k * n)
+
+        a = block_rows()
+        b = block_rows() if across else a
+        y = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        if shape in ("lone", "lone-zero"):
+            y[k - 1, :k - 1] = y[:k - 1, k - 1] = 0     # the last pair's entry alone
+            y[k - 1, k - 1] *= shape == "lone"
+        elif shape == "diagonal":
+            y = np.diag(np.arange(1.0, k + 1))
+        elif shape == "identity":
+            y = (0.3 - 0.7j) * np.eye(k)
+        elif shape == "entry":
+            y = np.zeros((k, k))
+            y[k // 2, (k - 1) // 2] = 1.0
+        expected = sum(y[r, c] * a[r].T @ b[c].conj() for r in range(k) for c in range(k))
+        got = ecps.exact._fused(y, a, b, np.empty(2 ** 6, dtype=complex))
+        assert np.abs(got - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("points", [5, 40])
     @pytest.mark.parametrize("xi, eff0", [(0.0, np.diag([1.0, 0.0, 0.0, 0.0])),
@@ -373,7 +392,7 @@ class TestObservables:
     def test_system_observables_match_dense_reference(self, monkeypatch, n_levels, xi,
                                                       points, eff0):
         # the same values from the per-time dense rho(t); with a 2**7-entry
-        # buffer each fused product, held sum and readout takes several panels
+        # buffer each fused product and readout takes several panels
         monkeypatch.setattr(ecps.exact, "_CHUNK", 2 ** 7)
         p = params(n_levels=n_levels, xi=xi, alpha=0.3, delta_eps=2.0)
         h = build_hamiltonian(p, sample_couplings(p))
@@ -646,16 +665,15 @@ class TestBlocks:
 
 class TestMemory:
     """The traced peak of evolve_exact with ``SYSTEM_OBSERVABLES``, the CLI's
-    call, in units of h.nbytes. With T >= N times rho_e and each readout's
-    Gram block are one fused product each, formed a panel of columns at a
-    time, so no K_rc is formed; with T < N one block pair's K_rc are held,
-    and each is read out in place.
+    call, in units of h.nbytes. At every T, rho_e and each readout's Gram
+    block are one fused product each, formed a panel of columns at a time,
+    so no K_rc is formed and a block pair holds rho_e and one Gram block.
     Times are read out in fixed-size chunks, so only a block's phases and the
     (T, F) output grow with T. A block's phases and rows go after its last
     block pair, the Bell frame W h W is built in one array, and a temporary h
     is freed before the eigendecompositions. Cases: N = 120 at xi = 0, 1 and
-    0.5 with two times (the hold path), and N = 60 at xi = 0.5, 0 and 1 with
-    400 times (the fused path, across two blocks and within one)."""
+    0.5 with two times (T < N), and N = 60 at xi = 0.5, 0 and 1 with 400
+    times (T >= N), across two blocks and within one."""
 
     P = ModelParams(n_levels=120, delta_eps=0.5, alpha=0.005, xi=0.0, seed=3)
     EFF0 = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
@@ -685,7 +703,7 @@ class TestMemory:
     @pytest.mark.parametrize("n_levels, xi, points, held, bound, block", [
         (120, 0.0, 2, True, 1.8, 240), (120, 0.0, 2, False, 2.0, 240),
         (120, 1.0, 2, True, 1.8, 240), (120, 1.0, 2, False, 2.7, 240),
-        (120, 0.5, 2, True, 5.3, 360), (120, 0.5, 2, False, 5.3, 360),
+        (120, 0.5, 2, True, 2.3, 360), (120, 0.5, 2, False, 3.3, 360),
         (60, 0.5, 400, True, 3.9, 180), (60, 0.5, 400, False, 3.9, 180),
         (60, 0.0, 400, True, 2.8, 120), (60, 0.0, 400, False, 2.8, 120),
         (60, 1.0, 400, True, 2.8, 120), (60, 1.0, 400, False, 2.8, 120)],
